@@ -1,14 +1,15 @@
 #!/bin/sh
 # The repo's CI gate: formatting, release build (examples and benches
-# included), tests, a bench smoke pass, warning-free workspace-wide
-# clippy over every target, and warning-free rustdoc.
+# included), every crate's tests (the facade's among them), a bench
+# smoke pass, warning-free workspace-wide clippy over every target, and
+# warning-free rustdoc.
 set -eux
 
 cargo fmt --check
 cargo build --release
 cargo build --release --examples
 cargo build --release --benches
-cargo test -q
+cargo test --workspace -q
 # Smoke the perf harness end to end (tiny spans, no JSON update).
 cargo bench -p atm-bench --bench simperf -- --test
 cargo clippy --workspace --all-targets -- -D warnings

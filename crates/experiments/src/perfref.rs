@@ -23,12 +23,15 @@
 use atm_telemetry::NullRecorder;
 use std::fmt::Write as _;
 
+use atm_adapt::AdaptConfig;
+use atm_capping::{FleetBudget, PowerBudget, UNLIMITED_MW};
 use atm_chip::{ChipConfig, MarginMode, System};
 use atm_core::charact::CharactConfig;
 use atm_core::{AtmManager, Governor, LimitTable};
-use atm_faults::{droop_storm, FleetFaultPlan};
-use atm_fleet::{FleetConfig, FleetSim};
+use atm_faults::{droop_storm, FaultKind, FaultPlan, FaultSpec, FaultTarget, FleetFaultPlan};
+use atm_fleet::{FailoverConfig, FleetConfig, FleetSim};
 use atm_serve::{ArrivalPattern, ServeConfig, ServeSim, StreamSpec};
+use atm_silicon::DriftModel;
 use atm_units::{CoreId, Nanos};
 use atm_workloads::{by_name, voltage_virus};
 
@@ -132,6 +135,43 @@ pub fn fleet_faulted_reference(seed: u64) -> String {
     format!("{report:#?}\n")
 }
 
+/// A 12-epoch quick fleet that loses chips mid-run with every recovery
+/// feature on at once: a periodic hard-fail plan on ~⅓ of the chips,
+/// the default failover ladder, aging silicon with the online adapter
+/// closed, and a fleet budget that browns out over epochs `[4, 8)`.
+#[must_use]
+pub fn fleet_failover_config(seed: u64) -> FleetConfig {
+    // 20 harvest ticks per epoch: the first kill lands in epoch 2, and a
+    // resurrected chip dies again after three more live epochs.
+    let killer = FaultPlan::new("periodic-chip-killer").with(FaultSpec {
+        target: FaultTarget::Seeded,
+        kind: FaultKind::ChipHardFail,
+        start: 50,
+        period: 60,
+        repeats: 100,
+        duration: 1,
+    });
+    let base = FleetConfig::quick(seed);
+    let budget = PowerBudget::brownout(UNLIMITED_MW, 100_000 * u64::from(base.chips), 4, 8);
+    base.with_epochs(12)
+        .with_faults(FleetFaultPlan::new(killer, 3))
+        .with_failover(FailoverConfig::default())
+        .with_drift(DriftModel::standard(seed))
+        .with_adapt(AdaptConfig::standard())
+        .with_budget(FleetBudget::new(budget))
+}
+
+/// [`fleet_failover_config`] run to completion: hard fails, retries,
+/// resurrection from machine checkpoints and probation, on top of
+/// drift, adaptation and a binding fleet budget.
+#[must_use]
+pub fn fleet_failover_reference(seed: u64) -> String {
+    let report = FleetSim::new(fleet_failover_config(seed))
+        .expect("valid failover fleet")
+        .run(2);
+    format!("{report:#?}\n")
+}
+
 /// Renders the fleet scenarios into one labelled document (the exact
 /// contents of `tests/data/fleet_reference.txt`).
 #[must_use]
@@ -141,6 +181,8 @@ pub fn fleet_full_reference() -> String {
     out.push_str(&fleet_reference(HEAVY_SEED));
     let _ = writeln!(out, "=== FleetReport faulted seed=7 ===");
     out.push_str(&fleet_faulted_reference(7));
+    let _ = writeln!(out, "=== FleetReport failover seed={HEAVY_SEED} ===");
+    out.push_str(&fleet_failover_reference(HEAVY_SEED));
     out
 }
 

@@ -21,9 +21,9 @@ use crate::traffic::TrafficSpec;
 /// dropped: attempt `a` waits `backoff_base_epochs << (a − 1)` epochs,
 /// and a request past `retry_budget` attempts is permanently shed (the
 /// `retry_shed` bucket of the extended conservation law). The fleet also
-/// checkpoints every chip's machine state periodically so a dead chip can
-/// be resurrected cold after `resurrect_after` epochs, serving only
-/// background traffic through a probation window.
+/// periodically checkpoints the machine state of every chip that can
+/// fail, so a dead chip can be resurrected cold after `resurrect_after`
+/// epochs, serving only background traffic through a probation window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailoverConfig {
     /// Maximum delivery attempts per request (first bounce = attempt 1).
@@ -32,7 +32,12 @@ pub struct FailoverConfig {
     /// wait. Zero retries on the very next epoch.
     pub backoff_base_epochs: u32,
     /// Epochs between periodic per-chip machine checkpoints (0 disables
-    /// checkpointing — a dead chip then stays dead).
+    /// checkpointing — a dead chip then stays dead). A checkpoint copies
+    /// only the machine half of the chip (see
+    /// `ChipServer::machine_checkpoint`), since resurrection keeps the
+    /// account. Only live chips carrying a fault hook are checkpointed:
+    /// a chip hard-fails only through its hook, so the others can never
+    /// need a capsule.
     pub checkpoint_every: u32,
     /// Epochs a chip stays dead before resurrection is attempted (needs
     /// a checkpoint to exist).

@@ -30,13 +30,15 @@
 //! bisection), and [`FleetRun::finish`]es into the same report
 //! [`FleetSim::run`] produces.
 
+use std::sync::Arc;
+
 use atm_adapt::OnlineAdapter;
 use atm_capping::{CapConfig, EnergyModel, EnergyReport};
 use atm_chip::{ChipConfig, FaultHook, System};
 use atm_core::{AtmManager, Governor};
 use atm_faults::{CampaignHook, FleetFaultPlan};
 use atm_serve::{
-    ChipRequest, ChipServer, ChipServerCheckpoint, ChipSnapshot, EpochOutcome, LatencyHistogram,
+    ChipRequest, ChipServer, ChipSnapshot, EpochOutcome, LatencyHistogram, MachineCheckpoint,
 };
 use atm_units::AtmError;
 
@@ -133,7 +135,13 @@ impl FleetSim {
         let states = build_fleet(&cfg, workers);
 
         let horizon = u64::from(cfg.epochs) * cfg.epoch_ns;
-        let traces = generate_fleet(&cfg.traffic, cfg.chips, cfg.seed, horizon, workers);
+        let traces = Arc::new(generate_fleet(
+            &cfg.traffic,
+            cfg.chips,
+            cfg.seed,
+            horizon,
+            workers,
+        ));
         let routing = RoutingCounters {
             generated: traces
                 .iter()
@@ -166,8 +174,9 @@ impl FleetSim {
 /// deep-clonable value.
 ///
 /// The struct exists so the loop can be *paused*: `checkpoint()` seals a
-/// deep copy (chips, queues, hooks, retry ladders, counters — all of it)
-/// and `restore()` rewinds to one, with the guarantee that
+/// deep copy (chips, queues, hooks, retry ladders, counters — all of it;
+/// only the immutable traffic traces are shared) and `restore()` rewinds
+/// to one, with the guarantee that
 /// `step… ≡ step…; restore(checkpoint); step…` byte-for-byte. Its `Debug`
 /// rendering is exhaustive and deterministic on purpose — it is the
 /// canonical byte-identity witness `atm-recovery` checksums.
@@ -175,7 +184,9 @@ impl FleetSim {
 pub struct FleetRun {
     cfg: FleetConfig,
     states: Vec<ChipState>,
-    traces: Vec<Vec<Vec<LaneRequest>>>,
+    /// Every lane's arrivals for the whole horizon, fixed at `start`:
+    /// shared, so checkpoints and restores never copy them.
+    traces: Arc<Vec<Vec<Vec<LaneRequest>>>>,
     cursors: Vec<Vec<usize>>,
     snapshots: Vec<ChipSnapshot>,
     deferred: Vec<Pending>,
@@ -183,8 +194,10 @@ pub struct FleetRun {
     prev_critical: Vec<Option<u32>>,
     routing: RoutingCounters,
     epoch: u32,
-    /// Latest periodic machine checkpoint per chip (failover only).
-    machine_cps: Vec<Option<ChipServerCheckpoint>>,
+    /// Latest periodic machine checkpoint per chip (failover only, and
+    /// only for chips carrying a fault hook — the only chips that can
+    /// hard-fail).
+    machine_cps: Vec<Option<MachineCheckpoint>>,
     /// The epoch each dead chip's failure was detected (`None` = alive).
     dead_epoch: Vec<Option<u32>>,
     /// First epoch each resurrected chip may take critical traffic again
@@ -478,15 +491,20 @@ impl FleetRun {
             .map(|s| s.server.snapshot(epoch_end))
             .collect();
 
-        // Failover, part 3 (serial): periodic machine checkpoints of
-        // every live chip, the capsule resurrection restores from.
+        // Failover, part 3 (serial): periodic machine checkpoints, the
+        // capsule resurrection restores from. A chip hard-fails only
+        // through its fault hook, so a chip without one can never die
+        // and its capsule would never be read: skip it. Hooks are fixed
+        // at `start`, and `rearm_faults` only swaps a hook for another
+        // (it demands one on every chip), so bisection replays still
+        // checkpoint every chip.
         if let Some(failover) = self.cfg.failover {
             if failover.checkpoint_every > 0
                 && (epoch + 1).is_multiple_of(failover.checkpoint_every)
             {
                 for (chip, state) in self.states.iter().enumerate() {
-                    if !state.server.is_dead() {
-                        self.machine_cps[chip] = Some(state.server.checkpoint());
+                    if state.hook.is_some() && !state.server.is_dead() {
+                        self.machine_cps[chip] = Some(state.server.machine_checkpoint());
                     }
                 }
             }
@@ -852,6 +870,108 @@ mod tests {
         );
         assert_eq!(report.routing.retried, 0);
         assert!(report.routing.retry_shed > 0, "{:?}", report.routing);
+        assert!(report.conservation_holds(), "{:?}", report.routing);
+    }
+
+    #[test]
+    fn machine_checkpoints_cover_exactly_the_hooked_chips_alive_at_a_barrier() {
+        // Harvests run 20 hook ticks per epoch: a kill at tick 5 lands
+        // before the first barrier, a kill at tick 25 just after it.
+        let (mut hooked_with_cp, mut hooked_without_cp, mut unhooked) = (0, 0, 0);
+        for kill_tick in [5, 25] {
+            let cfg = FleetConfig::quick(42)
+                .with_epochs(3)
+                .with_faults(FleetFaultPlan::new(chip_killer(kill_tick), 2))
+                .with_failover(FailoverConfig::default());
+            let mut run = FleetSim::new(cfg).unwrap().start(2);
+            let mut alive_at_barrier = vec![false; run.states.len()];
+            while !run.done() {
+                run.step_epoch(2);
+                for (chip, state) in run.states.iter().enumerate() {
+                    if state.hook.is_some() && !state.server.is_dead() {
+                        alive_at_barrier[chip] = true;
+                    }
+                }
+            }
+            for (chip, state) in run.states.iter().enumerate() {
+                assert_eq!(
+                    run.machine_cps[chip].is_some(),
+                    alive_at_barrier[chip],
+                    "chip {chip}, kill at tick {kill_tick}"
+                );
+                match (state.hook.is_some(), alive_at_barrier[chip]) {
+                    (true, true) => hooked_with_cp += 1,
+                    (true, false) => hooked_without_cp += 1,
+                    (false, _) => unhooked += 1,
+                }
+            }
+        }
+        assert!(
+            hooked_with_cp > 0 && hooked_without_cp > 0 && unhooked > 0,
+            "{hooked_with_cp} {hooked_without_cp} {unhooked}"
+        );
+    }
+
+    #[test]
+    fn a_chip_killed_between_barriers_resurrects_from_the_older_capsule() {
+        let failover = FailoverConfig {
+            checkpoint_every: 3,
+            ..FailoverConfig::default()
+        };
+        // Barriers close epochs 2, 5, 8; tick 85 falls in epoch 4's
+        // harvest (20 hook ticks per epoch).
+        let cfg = FleetConfig::quick(42)
+            .with_chips(3)
+            .with_epochs(8)
+            .with_faults(FleetFaultPlan::new(chip_killer(85), 3))
+            .with_failover(failover);
+        let mut run = FleetSim::new(cfg).unwrap().start(1);
+        let victim = run
+            .states
+            .iter()
+            .position(|s| s.hook.is_some())
+            .expect("the plan afflicts a chip");
+        while run.epoch() < 3 {
+            run.step_epoch(1);
+        }
+        let capsule = format!("{:#?}", run.machine_cps[victim]);
+        assert!(run.machine_cps[victim].is_some(), "barrier 2 checkpointed");
+        while run.epoch() < 5 {
+            run.step_epoch(1);
+        }
+        assert_eq!(run.dead_epoch[victim], Some(4));
+        let at_death = format!(
+            "{:#?}",
+            Some(run.states[victim].server.machine_checkpoint())
+        );
+        assert_ne!(at_death, capsule, "the machine moved on after barrier 2");
+        run.step_epoch(1);
+        assert_eq!(
+            format!("{:#?}", run.machine_cps[victim]),
+            capsule,
+            "a dead chip is not checkpointed at barrier 5"
+        );
+
+        // Resurrection is due at epoch 6 (`resurrect_after` = 2).
+        run.resurrect_due(6, failover);
+        assert!(!run.states[victim].server.is_dead());
+        assert_eq!(
+            format!(
+                "{:#?}",
+                Some(run.states[victim].server.machine_checkpoint())
+            ),
+            capsule,
+            "the chip came back as it was at barrier 2"
+        );
+        while !run.done() {
+            run.step_epoch(1);
+        }
+        let report = run.finish();
+        assert_eq!(
+            report.routing.resurrected_chips, report.routing.hard_failed_chips,
+            "{:?}",
+            report.routing
+        );
         assert!(report.conservation_holds(), "{:?}", report.routing);
     }
 

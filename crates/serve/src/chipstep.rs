@@ -191,24 +191,29 @@ pub struct EpochOutcome {
     pub rejected: Vec<ChipRequest>,
 }
 
-/// The per-chip power-capping state: the regulator, its run report, and
-/// the fleet's per-epoch cap override (when one is pushed in).
+/// The regulator's control state: its configuration and its integral and
+/// depth. Part of the [`Machine`], so it rewinds on resurrection.
 #[derive(Debug, Clone)]
-struct CapState {
+struct CapControl {
     cfg: CapConfig,
     regulator: PowerRegulator,
+}
+
+/// The regulator's run report and the fleet's per-epoch cap override
+/// (when one is pushed in). Part of the account, so it stays cumulative
+/// through resurrection.
+#[derive(Debug, Clone)]
+struct CapAccount {
     report: CapReport,
     override_mw: Option<u64>,
 }
 
-/// One managed chip, steppable epoch by epoch (see the module docs).
-///
-/// The `Debug` rendering is exhaustive on purpose: it is the canonical
-/// byte-identity witness the checkpoint machinery checksums, so every
-/// field — all of them integer-valued, ordered maps, or
-/// shortest-roundtrip floats — must appear in it.
+/// The half of a [`ChipServer`] that failover rewinds: the managed chip,
+/// its control ladders and the posture they maintain. Everything else —
+/// queues, histograms, counters, the energy meter, the regulator's
+/// report — is the account, which survives resurrection.
 #[derive(Debug)]
-pub struct ChipServer {
+struct Machine {
     mgr: AtmManager,
     cfg: ChipServeConfig,
     supervisor: MarginSupervisor,
@@ -218,6 +223,63 @@ pub struct ChipServer {
     baseline: MegaHz,
     /// `(workload, profile)` served by each postured core.
     core_svc: BTreeMap<CoreId, (Workload, ServiceProfile)>,
+    throttle_extra: usize,
+    /// The online recharacterization seam ([`NullAdapter`] = off).
+    adapter: Box<dyn Adapter>,
+    /// Silicon aging/seasonal drift applied each epoch (`None` = pristine).
+    drift: Option<DriftModel>,
+    /// The power regulator (`None` = uncapped).
+    cap: Option<CapControl>,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Self {
+        Machine {
+            mgr: self.mgr.clone(),
+            cfg: self.cfg.clone(),
+            supervisor: self.supervisor.clone(),
+            policy: self.policy.clone(),
+            posture: self.posture.clone(),
+            pstates: self.pstates.clone(),
+            baseline: self.baseline,
+            core_svc: self.core_svc.clone(),
+            throttle_extra: self.throttle_extra,
+            adapter: self.adapter.clone_box(),
+            drift: self.drift,
+            cap: self.cap.clone(),
+        }
+    }
+}
+
+impl Machine {
+    /// Steps the posture's background throttle further down the ladder
+    /// (mirrors the `ServeSim` response to droop-alarm storms).
+    fn apply_extra_throttle(&mut self) {
+        let Some(mut plan) = self.posture.placement.plan.clone() else {
+            return;
+        };
+        for _ in 0..self.throttle_extra {
+            match plan.step_down(&self.pstates) {
+                Some(next) => plan = next,
+                None => break,
+            }
+        }
+        plan.apply(self.mgr.system_mut());
+        self.posture.placement.plan = Some(plan);
+        self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
+    }
+}
+
+/// One managed chip, steppable epoch by epoch (see the module docs).
+///
+/// The `Debug` rendering is exhaustive on purpose: it is the canonical
+/// byte-identity witness the checkpoint machinery checksums, so every
+/// field — all of them integer-valued, ordered maps, or
+/// shortest-roundtrip floats — must appear in it.
+#[derive(Debug, Clone)]
+pub struct ChipServer {
+    /// What [`ChipServer::resurrect_from`] rewinds.
+    machine: Machine,
     free_at: BTreeMap<CoreId, u64>,
     crit_hist: LatencyHistogram,
     bg_hist: LatencyHistogram,
@@ -226,14 +288,9 @@ pub struct ChipServer {
     critical_completed: u64,
     critical_slo_violations: u64,
     transitions: u64,
-    throttle_extra: usize,
     epoch: u32,
-    /// The online recharacterization seam ([`NullAdapter`] = off).
-    adapter: Box<dyn Adapter>,
-    /// Silicon aging/seasonal drift applied each epoch (`None` = pristine).
-    drift: Option<DriftModel>,
-    /// The power regulator (`None` = uncapped).
-    cap: Option<CapState>,
+    /// The regulator's account (`None` = uncapped).
+    cap: Option<CapAccount>,
     /// The energy integrator (`None` = no energy accounting).
     meter: Option<EnergyMeter>,
     /// Chip power measured at this epoch's harvest, integer milliwatts.
@@ -248,46 +305,14 @@ pub struct ChipServer {
     dead_since: Option<u32>,
 }
 
-impl Clone for ChipServer {
-    fn clone(&self) -> Self {
-        ChipServer {
-            mgr: self.mgr.clone(),
-            cfg: self.cfg.clone(),
-            supervisor: self.supervisor.clone(),
-            policy: self.policy.clone(),
-            posture: self.posture.clone(),
-            pstates: self.pstates.clone(),
-            baseline: self.baseline,
-            core_svc: self.core_svc.clone(),
-            free_at: self.free_at.clone(),
-            crit_hist: self.crit_hist.clone(),
-            bg_hist: self.bg_hist.clone(),
-            completed: self.completed,
-            shed: self.shed,
-            critical_completed: self.critical_completed,
-            critical_slo_violations: self.critical_slo_violations,
-            transitions: self.transitions,
-            throttle_extra: self.throttle_extra,
-            epoch: self.epoch,
-            adapter: self.adapter.clone_box(),
-            drift: self.drift,
-            cap: self.cap.clone(),
-            meter: self.meter.clone(),
-            measured_mw: self.measured_mw,
-            epoch_busy_ns: self.epoch_busy_ns,
-            epoch_completed: self.epoch_completed,
-            dead_since: self.dead_since,
-        }
-    }
-}
-
-/// A sealed deep copy of a [`ChipServer`] taken at an epoch barrier.
+/// A sealed deep copy of a whole [`ChipServer`] — machine *and* account —
+/// taken at an epoch barrier.
 ///
 /// Restoring one and stepping forward is byte-identical to having never
 /// left: the copy carries the manager, the supervisor ladder, the queues,
 /// the histograms, the regulator integral and the adapter's learned
-/// state. [`ChipServer::resurrect_from`] uses the same capsule but keeps
-/// the cumulative account (see its docs).
+/// state. Failover does not use it: resurrection keeps the account, so
+/// it restores from the smaller [`MachineCheckpoint`].
 #[derive(Debug, Clone)]
 pub struct ChipServerCheckpoint {
     state: ChipServer,
@@ -300,6 +325,19 @@ impl ChipServerCheckpoint {
     pub fn thaw(&self) -> ChipServer {
         self.state.clone()
     }
+}
+
+/// A deep copy of only the machine half of a [`ChipServer`] — manager,
+/// supervisor ladder, posture, degradation policy, adapter, drift model
+/// and regulator control state — the capsule
+/// [`ChipServer::resurrect_from`] brings a hard-failed chip back from.
+///
+/// It leaves out the account (queues, latency histograms, counters,
+/// energy meter, regulator report), which resurrection keeps, so it is
+/// cheaper to take than a full [`ChipServerCheckpoint`].
+#[derive(Debug, Clone)]
+pub struct MachineCheckpoint {
+    machine: Machine,
 }
 
 impl ChipServer {
@@ -322,17 +360,30 @@ impl ChipServer {
         let mut supervisor = MarginSupervisor::new(cfg.supervisor);
         supervisor.attach(mgr.system());
         let core_svc = service_map(&cfg, &posture);
-        let capping = cfg.capping.clone();
-        let energy = cfg.energy;
+        let cap = cfg.capping.clone().map(|c| CapControl {
+            regulator: PowerRegulator::new(c.regulator),
+            cfg: c,
+        });
+        let cap_account = cap.as_ref().map(|_| CapAccount {
+            report: CapReport::new(),
+            override_mw: None,
+        });
+        let meter = cfg.energy.map(EnergyMeter::new);
         Ok(ChipServer {
-            mgr,
-            cfg,
-            supervisor,
-            policy: DegradationPolicy::default(),
-            posture,
-            pstates,
-            baseline,
-            core_svc,
+            machine: Machine {
+                mgr,
+                cfg,
+                supervisor,
+                policy: DegradationPolicy::default(),
+                posture,
+                pstates,
+                baseline,
+                core_svc,
+                throttle_extra: 0,
+                adapter: Box::new(NullAdapter),
+                drift: None,
+                cap,
+            },
             free_at: BTreeMap::new(),
             crit_hist: LatencyHistogram::new(),
             bg_hist: LatencyHistogram::new(),
@@ -341,17 +392,9 @@ impl ChipServer {
             critical_completed: 0,
             critical_slo_violations: 0,
             transitions: 0,
-            throttle_extra: 0,
             epoch: 0,
-            adapter: Box::new(NullAdapter),
-            drift: None,
-            cap: capping.map(|c| CapState {
-                regulator: PowerRegulator::new(c.regulator),
-                cfg: c,
-                report: CapReport::new(),
-                override_mw: None,
-            }),
-            meter: energy.map(EnergyMeter::new),
+            cap: cap_account,
+            meter,
             measured_mw: 0,
             epoch_busy_ns: 0,
             epoch_completed: 0,
@@ -361,18 +404,18 @@ impl ChipServer {
 
     /// Installs an online adapter (replacing the default [`NullAdapter`]).
     pub fn set_adapter(&mut self, adapter: Box<dyn Adapter>) {
-        self.adapter = adapter;
+        self.machine.adapter = adapter;
     }
 
     /// Arms epoch-by-epoch silicon drift (aging + seasonal temperature).
     pub fn set_drift(&mut self, drift: DriftModel) {
-        self.drift = Some(drift);
+        self.machine.drift = Some(drift);
     }
 
     /// The adapter's account, if one is running.
     #[must_use]
     pub fn adapt_report(&self) -> Option<AdaptReport> {
-        self.adapter.report()
+        self.machine.adapter.report()
     }
 
     /// Overrides the cap in force for subsequent epochs, in milliwatts —
@@ -420,8 +463,9 @@ impl ChipServer {
                 rejected: requests.to_vec(),
             };
         }
-        if let Some(drift) = self.drift {
-            self.mgr
+        if let Some(drift) = self.machine.drift {
+            self.machine
+                .mgr
                 .system_mut()
                 .apply_drift(&drift, u64::from(self.epoch));
         }
@@ -443,6 +487,7 @@ impl ChipServer {
         }
         if let Some(meter) = self.meter.as_mut() {
             let powered = self
+                .machine
                 .posture
                 .core_freqs
                 .iter()
@@ -462,15 +507,16 @@ impl ChipServer {
     /// re-posture when anything changed.
     fn harvest_and_degrade(&mut self, faults: Option<&mut dyn FaultHook>, now: u64) {
         let harvest = match faults {
-            Some(mut hook) => {
-                self.mgr
-                    .system_mut()
-                    .run_faulted(self.cfg.chip_trial, &mut hook, &mut NullRecorder)
-            }
+            Some(mut hook) => self.machine.mgr.system_mut().run_faulted(
+                self.machine.cfg.chip_trial,
+                &mut hook,
+                &mut NullRecorder,
+            ),
             None => self
+                .machine
                 .mgr
                 .system_mut()
-                .run(self.cfg.chip_trial, &mut NullRecorder),
+                .run(self.machine.cfg.chip_trial, &mut NullRecorder),
         };
         if harvest
             .failure
@@ -480,22 +526,27 @@ impl ChipServer {
             // it (the account survives for the final report) and let the
             // fleet's failover ladder take over.
             self.dead_since = Some(self.epoch);
-            self.mgr.system_mut().drain_events();
+            self.machine.mgr.system_mut().drain_events();
             return;
         }
         self.measured_mw = (harvest.procs[0].mean_power.get() * 1_000.0).round() as u64;
-        let events = self.mgr.system_mut().drain_events();
+        let events = self.machine.mgr.system_mut().drain_events();
 
         let mut needs_replace = false;
         let mut throttled = false;
         let mut actions = self
+            .machine
             .policy
-            .react(&events, self.posture.placement.critical_core);
+            .react(&events, self.machine.posture.placement.critical_core);
         // The supervisor owns the failure ladder; the plain policy keeps
         // the droop-alarm throttle response.
         actions.retain(|a| matches!(a, DegradeAction::ThrottleDown { .. }));
-        let sup_actions = self.supervisor.observe_window(self.mgr.system(), &events);
+        let sup_actions = self
+            .machine
+            .supervisor
+            .observe_window(self.machine.mgr.system(), &events);
         let _ = self
+            .machine
             .mgr
             .apply_supervisor_actions(&sup_actions, &mut NullRecorder);
         if !sup_actions.is_empty() {
@@ -504,36 +555,37 @@ impl ChipServer {
         }
         for action in &actions {
             if let DegradeAction::ThrottleDown { .. } = action {
-                self.throttle_extra += 1;
+                self.machine.throttle_extra += 1;
                 throttled = true;
                 self.transitions += 1;
             }
         }
 
         if needs_replace {
-            self.posture = self
+            self.machine.posture = self
+                .machine
                 .mgr
                 .serve_posture(
-                    &self.cfg.critical,
-                    &self.cfg.backgrounds,
-                    self.cfg.qos,
+                    &self.machine.cfg.critical,
+                    &self.machine.cfg.backgrounds,
+                    self.machine.cfg.qos,
                     &mut NullRecorder,
                 )
                 .expect("config validated in new");
-            if self.throttle_extra > 0 {
-                self.apply_extra_throttle();
+            if self.machine.throttle_extra > 0 {
+                self.machine.apply_extra_throttle();
             }
-            self.mgr.system_mut().drain_events();
-            self.core_svc = service_map(&self.cfg, &self.posture);
+            self.machine.mgr.system_mut().drain_events();
+            self.machine.core_svc = service_map(&self.machine.cfg, &self.machine.posture);
         } else if throttled {
-            self.apply_extra_throttle();
-            self.mgr.system_mut().drain_events();
-        } else if self.epoch > 0 && self.epoch.is_multiple_of(self.cfg.refresh_every) {
-            self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
-            self.mgr.system_mut().drain_events();
+            self.machine.apply_extra_throttle();
+            self.machine.mgr.system_mut().drain_events();
+        } else if self.epoch > 0 && self.epoch.is_multiple_of(self.machine.cfg.refresh_every) {
+            self.machine.posture.core_freqs = self.machine.mgr.measure_core_freqs(ProcId::new(0));
+            self.machine.mgr.system_mut().drain_events();
         }
 
-        if self.adapter.enabled() {
+        if self.machine.adapter.enabled() {
             self.run_adapter(&harvest, now);
         }
 
@@ -553,13 +605,13 @@ impl ChipServer {
     fn regulate(&mut self, supervisor_fired: bool) {
         let measured_mw = self.measured_mw;
         let epoch = self.epoch;
-        let Some(cap) = self.cap.as_mut() else {
+        let (Some(ctl), Some(account)) = (self.machine.cap.as_mut(), self.cap.as_mut()) else {
             return;
         };
-        let cap_mw = cap
+        let cap_mw = account
             .override_mw
-            .unwrap_or_else(|| cap.cfg.budget.cap_at(epoch));
-        let action = cap
+            .unwrap_or_else(|| ctl.cfg.budget.cap_at(epoch));
+        let action = ctl
             .regulator
             .propose(measured_mw, cap_mw, &mut NullRecorder);
         let over_budget = measured_mw > cap_mw;
@@ -567,37 +619,49 @@ impl ChipServer {
             CapAction::Release(_) if supervisor_fired || over_budget => (CapAction::Hold, true),
             a => (a, false),
         };
-        cap.regulator.commit(committed);
-        cap.report.count_action(committed, suppressed);
-        let depth = cap.regulator.depth();
-        cap.report
-            .push_epoch(cap_mw, measured_mw, depth, cap.regulator.integral_mwe());
+        ctl.regulator.commit(committed);
+        account.report.count_action(committed, suppressed);
+        let depth = ctl.regulator.depth();
+        account
+            .report
+            .push_epoch(cap_mw, measured_mw, depth, ctl.regulator.integral_mwe());
         // Re-apply every epoch the cap binds: re-postures and droop
         // step-downs reset margin modes, so the depth must be restated on
         // top of whatever plan is now current.
         if depth == 0 && matches!(committed, CapAction::Hold) {
             return;
         }
-        let Some(base) = self.posture.placement.plan.clone() else {
+        let Some(base) = self.machine.posture.placement.plan.clone() else {
             return;
         };
-        let bg_depth = depth.min(base.setting.rungs_below(&self.pstates));
+        let bg_depth = depth.min(base.setting.rungs_below(&self.machine.pstates));
         let crit_depth = depth - bg_depth;
-        let critical = self.posture.placement.critical_core;
-        let _ = self
-            .mgr
-            .apply_cap_levels(&base, critical, bg_depth, crit_depth, &mut NullRecorder);
-        self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
-        self.mgr.system_mut().drain_events();
+        let critical = self.machine.posture.placement.critical_core;
+        let _ = self.machine.mgr.apply_cap_levels(
+            &base,
+            critical,
+            bg_depth,
+            crit_depth,
+            &mut NullRecorder,
+        );
+        self.machine.posture.core_freqs = self.machine.mgr.measure_core_freqs(ProcId::new(0));
+        self.machine.mgr.system_mut().drain_events();
     }
 
     /// Runs one epoch of online recharacterization against the harvest
     /// the degradation ladder just consumed. Re-measures the posture when
     /// the adapter re-tightened anything.
     fn run_adapter(&mut self, harvest: &atm_chip::SystemReport, now: u64) {
-        let serving: Vec<CoreId> = self.posture.core_freqs.iter().map(|(c, _)| *c).collect();
-        let critical_core = self.posture.placement.critical_core;
+        let serving: Vec<CoreId> = self
+            .machine
+            .posture
+            .core_freqs
+            .iter()
+            .map(|(c, _)| *c)
+            .collect();
+        let critical_core = self.machine.posture.placement.critical_core;
         let idle: Vec<CoreId> = self
+            .machine
             .posture
             .placement
             .background_cores
@@ -608,9 +672,9 @@ impl ChipServer {
         let blocked: std::collections::BTreeSet<CoreId> = serving
             .iter()
             .filter(|c| {
-                self.supervisor.on_probation(**c)
-                    || self.mgr.safe_mode_cores().contains(c)
-                    || self.mgr.quarantined_cores().contains(c)
+                self.machine.supervisor.on_probation(**c)
+                    || self.machine.mgr.safe_mode_cores().contains(c)
+                    || self.machine.mgr.quarantined_cores().contains(c)
             })
             .copied()
             .collect();
@@ -619,8 +683,8 @@ impl ChipServer {
             .values()
             .map(|f| f.saturating_sub(now))
             .sum::<u64>();
-        let changed = self.adapter.on_epoch(AdaptContext {
-            mgr: &mut self.mgr,
+        let changed = self.machine.adapter.on_epoch(AdaptContext {
+            mgr: &mut self.machine.mgr,
             harvest,
             epoch: u64::from(self.epoch),
             backlog_ns,
@@ -630,39 +694,23 @@ impl ChipServer {
             blocked: &blocked,
         });
         if changed {
-            self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
+            self.machine.posture.core_freqs = self.machine.mgr.measure_core_freqs(ProcId::new(0));
         }
-        self.mgr.system_mut().drain_events();
-    }
-
-    /// Steps the posture's background throttle further down the ladder
-    /// (mirrors the `ServeSim` response to droop-alarm storms).
-    fn apply_extra_throttle(&mut self) {
-        let Some(mut plan) = self.posture.placement.plan.clone() else {
-            return;
-        };
-        for _ in 0..self.throttle_extra {
-            match plan.step_down(&self.pstates) {
-                Some(next) => plan = next,
-                None => break,
-            }
-        }
-        plan.apply(self.mgr.system_mut());
-        self.posture.placement.plan = Some(plan);
-        self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
+        self.machine.mgr.system_mut().drain_events();
     }
 
     /// Serves one request on the posture's queues.
     fn dispatch(&mut self, req: &ChipRequest) {
         let core = if req.critical {
-            self.posture.placement.critical_core
+            self.machine.posture.placement.critical_core
         } else {
             let live = self
+                .machine
                 .posture
                 .placement
                 .background_cores
                 .iter()
-                .filter(|c| self.posture.freq_of(**c).get() > 0.0)
+                .filter(|c| self.machine.posture.freq_of(**c).get() > 0.0)
                 .min_by_key(|c| (self.free_at.get(c).copied().unwrap_or(0), c.flat_index()))
                 .copied();
             match live {
@@ -674,13 +722,16 @@ impl ChipServer {
                 }
             }
         };
-        let freq = self.posture.freq_of(core);
-        let (workload, profile) = self
-            .core_svc
-            .get(&core)
-            .unwrap_or_else(|| self.core_svc.first_key_value().expect("postured cores").1);
+        let freq = self.machine.posture.freq_of(core);
+        let (workload, profile) = self.machine.core_svc.get(&core).unwrap_or_else(|| {
+            self.machine
+                .core_svc
+                .first_key_value()
+                .expect("postured cores")
+                .1
+        });
         let service = profile
-            .sample(workload, freq, self.baseline, req.draw)
+            .sample(workload, freq, self.machine.baseline, req.draw)
             .get()
             .round()
             .max(1.0) as u64;
@@ -694,13 +745,14 @@ impl ChipServer {
         if req.critical {
             self.crit_hist.record(latency);
             self.critical_completed += 1;
-            if self.cfg.critical_slo_ns > 0 && latency > self.cfg.critical_slo_ns {
+            if self.machine.cfg.critical_slo_ns > 0 && latency > self.machine.cfg.critical_slo_ns {
                 self.critical_slo_violations += 1;
             }
-            if self.adapter.enabled() {
+            if self.machine.adapter.enabled() {
                 let freq_khz = (freq.get() * 1_000.0).round() as u64;
-                let baseline_khz = (self.baseline.get() * 1_000.0).round() as u64;
-                self.adapter
+                let baseline_khz = (self.machine.baseline.get() * 1_000.0).round() as u64;
+                self.machine
+                    .adapter
                     .on_service(workload.name(), freq_khz, baseline_khz, service);
             }
         } else {
@@ -711,8 +763,9 @@ impl ChipServer {
     /// The barrier-time view the fleet router places traffic with.
     #[must_use]
     pub fn snapshot(&self, now: u64) -> ChipSnapshot {
-        let excluded = self.mgr.supervisor_excluded();
+        let excluded = self.machine.mgr.supervisor_excluded();
         let fastest = self
+            .machine
             .posture
             .core_freqs
             .iter()
@@ -726,15 +779,15 @@ impl ChipServer {
             .map(|f| f.saturating_sub(now))
             .sum::<u64>();
         let mut min_health = 100;
-        for (core, _) in &self.posture.core_freqs {
-            min_health = min_health.min(self.supervisor.health(*core));
+        for (core, _) in &self.machine.posture.core_freqs {
+            min_health = min_health.min(self.machine.supervisor.health(*core));
         }
         ChipSnapshot {
             alive: self.dead_since.is_none(),
             fastest_healthy_mhz: fastest,
             backlog_ns: backlog,
-            quarantined: self.mgr.quarantined_cores().len() as u32,
-            safe_mode: self.mgr.safe_mode_cores().len() as u32,
+            quarantined: self.machine.mgr.quarantined_cores().len() as u32,
+            safe_mode: self.machine.mgr.safe_mode_cores().len() as u32,
             min_health,
         }
     }
@@ -772,36 +825,30 @@ impl ChipServer {
         *self = cp.state.clone();
     }
 
+    /// Copies only the machine half of the chip — the capsule
+    /// [`resurrect_from`](Self::resurrect_from) needs, without the
+    /// account it keeps.
+    #[must_use]
+    pub fn machine_checkpoint(&self) -> MachineCheckpoint {
+        MachineCheckpoint {
+            machine: self.machine.clone(),
+        }
+    }
+
     /// Brings a hard-failed chip back from `cp` with failover semantics:
     /// the *machine* rewinds (manager, supervisor ladder, posture,
-    /// degradation policy, adapter's learned state, regulator control
-    /// state), but the *account* does not — completions, sheds, latency
-    /// histograms, the energy meter and the regulator's report keep their
-    /// cumulative values so exactly-once accounting survives the
-    /// resurrection. Queues come back cold (`free_at` cleared) and the
-    /// epoch counter keeps the fleet's current position on the timeline.
+    /// degradation policy, adapter's learned state, drift model, regulator
+    /// control state), but the *account* does not — completions, sheds,
+    /// latency histograms, the energy meter and the regulator's report
+    /// keep their cumulative values so exactly-once accounting survives
+    /// the resurrection. Queues come back cold (`free_at` cleared), the
+    /// per-epoch scratch counters are zeroed, and the epoch counter keeps
+    /// the fleet's current position on the timeline.
     ///
     /// The fleet layer is expected to follow this with a supervisor-style
     /// probation window before trusting the chip with critical traffic.
-    pub fn resurrect_from(&mut self, cp: &ChipServerCheckpoint) {
-        let machine = cp.state.clone();
-        self.mgr = machine.mgr;
-        self.cfg = machine.cfg;
-        self.supervisor = machine.supervisor;
-        self.policy = machine.policy;
-        self.posture = machine.posture;
-        self.pstates = machine.pstates;
-        self.baseline = machine.baseline;
-        self.core_svc = machine.core_svc;
-        self.adapter = machine.adapter;
-        self.drift = machine.drift;
-        self.throttle_extra = machine.throttle_extra;
-        // The regulator's control state (integral, depth) rewinds with
-        // the machine; its report stays cumulative with the account.
-        if let (Some(cur), Some(old)) = (self.cap.as_mut(), machine.cap) {
-            cur.cfg = old.cfg;
-            cur.regulator = old.regulator;
-        }
+    pub fn resurrect_from(&mut self, cp: &MachineCheckpoint) {
+        self.machine = cp.machine.clone();
         self.free_at.clear();
         self.measured_mw = 0;
         self.epoch_busy_ns = 0;
@@ -819,7 +866,7 @@ impl ChipServer {
     /// The supervisor watching this chip.
     #[must_use]
     pub fn supervisor(&self) -> &MarginSupervisor {
-        &self.supervisor
+        &self.machine.supervisor
     }
 
     /// Closes the chip's account.
@@ -872,7 +919,14 @@ mod tests {
     use atm_core::Governor;
     use atm_workloads::by_name;
 
-    fn server(seed: u64) -> ChipServer {
+    fn config() -> ChipServeConfig {
+        ChipServeConfig::standard(
+            by_name("squeezenet").unwrap().clone(),
+            vec![by_name("x264").unwrap().clone()],
+        )
+    }
+
+    fn server_with(seed: u64, cfg: ChipServeConfig) -> ChipServer {
         let sys = System::new(ChipConfig::power7_plus(seed));
         let mgr = AtmManager::deploy(
             sys,
@@ -883,11 +937,11 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let cfg = ChipServeConfig::standard(
-            by_name("squeezenet").unwrap().clone(),
-            vec![by_name("x264").unwrap().clone()],
-        );
         ChipServer::new(mgr, cfg).unwrap()
+    }
+
+    fn server(seed: u64) -> ChipServer {
+        server_with(seed, config())
     }
 
     fn traffic(epoch: u64, epoch_ns: u64) -> Vec<ChipRequest> {
@@ -898,6 +952,22 @@ mod tests {
                 draw: f64::from(u32::try_from(i).unwrap()) / 20.0,
             })
             .collect()
+    }
+
+    /// Hard-fails the chip on the first tick of the harvest it arms.
+    struct Killer;
+
+    impl FaultHook for Killer {
+        fn armed(&self) -> bool {
+            true
+        }
+        fn on_tick(&mut self, _now: Nanos, tick: u64, out: &mut Vec<atm_chip::FaultAction>) {
+            if tick == 0 {
+                out.push(atm_chip::FaultAction::ChipHardFail {
+                    core: CoreId::new(0, 0),
+                });
+            }
+        }
     }
 
     #[test]
@@ -947,25 +1017,9 @@ mod tests {
 
     #[test]
     fn hard_fail_bounces_batches_and_resurrection_keeps_the_account() {
-        use atm_chip::FaultAction;
-
-        struct Killer;
-        impl FaultHook for Killer {
-            fn armed(&self) -> bool {
-                true
-            }
-            fn on_tick(&mut self, _now: Nanos, tick: u64, out: &mut Vec<FaultAction>) {
-                if tick == 0 {
-                    out.push(FaultAction::ChipHardFail {
-                        core: CoreId::new(0, 0),
-                    });
-                }
-            }
-        }
-
         let mut srv = server(42);
         let _ = srv.step_epoch(&traffic(0, 1_000_000), None);
-        let cp = srv.checkpoint();
+        let cp = srv.machine_checkpoint();
         let completed_before = srv.summary().completed;
 
         let batch = traffic(1, 1_000_000);
@@ -993,21 +1047,69 @@ mod tests {
     }
 
     #[test]
+    fn resurrection_swaps_in_the_capsule_machine_and_keeps_the_account() {
+        // Capped and metered, so the regulator report and the energy
+        // meter are part of the account under test.
+        let mut srv = server_with(
+            42,
+            ChipServeConfig {
+                capping: Some(CapConfig::standard(atm_capping::PowerBudget::steady(
+                    100_000,
+                ))),
+                energy: Some(EnergyModel::standard(1_000_000)),
+                ..config()
+            },
+        );
+        let _ = srv.step_epoch(&traffic(0, 1_000_000), None);
+        let capsule = srv.machine_checkpoint();
+        for e in 1..3u64 {
+            let _ = srv.step_epoch(&traffic(e, 1_000_000), None);
+        }
+        let _ = srv.step_epoch(&traffic(3, 1_000_000), Some(&mut Killer));
+        assert!(srv.is_dead());
+
+        let account = |s: &ChipServer| {
+            format!(
+                "{:#?}",
+                (
+                    (s.completed, s.shed, s.critical_completed),
+                    (s.critical_slo_violations, s.transitions, s.epoch),
+                    (&s.crit_hist, &s.bg_hist, &s.cap, &s.meter),
+                )
+            )
+        };
+        let before = account(&srv);
+        assert!(srv.completed > 0);
+        assert_eq!(srv.cap_report().map(|r| r.epochs), Some(3));
+        assert!(srv.energy_report().is_some_and(|e| e.total_pj > 0));
+        let capsule_machine = format!("{:#?}", capsule.machine);
+        assert_ne!(
+            format!("{:#?}", srv.machine),
+            capsule_machine,
+            "the machine moved on after the capsule was taken"
+        );
+
+        srv.resurrect_from(&capsule);
+        assert_eq!(format!("{:#?}", srv.machine), capsule_machine);
+        assert_eq!(account(&srv), before, "the account survives untouched");
+        assert!(srv.free_at.is_empty(), "queues come back cold");
+        assert_eq!(
+            (srv.measured_mw, srv.epoch_busy_ns, srv.epoch_completed),
+            (0, 0, 0)
+        );
+        assert_eq!(srv.dead_since(), None);
+    }
+
+    #[test]
     fn degenerate_configs_are_rejected() {
         let cfg = ChipServeConfig {
             backgrounds: Vec::new(),
-            ..ChipServeConfig::standard(
-                by_name("squeezenet").unwrap().clone(),
-                vec![by_name("x264").unwrap().clone()],
-            )
+            ..config()
         };
         assert!(cfg.check().is_err());
         let cfg = ChipServeConfig {
             refresh_every: 0,
-            ..ChipServeConfig::standard(
-                by_name("squeezenet").unwrap().clone(),
-                vec![by_name("x264").unwrap().clone()],
-            )
+            ..config()
         };
         assert!(cfg.check().is_err());
     }

@@ -72,7 +72,7 @@ mod stream;
 pub use admission::{Admission, AdmissionConfig};
 pub use chipstep::{
     ChipRequest, ChipServeConfig, ChipServer, ChipServerCheckpoint, ChipSnapshot, ChipSummary,
-    EpochOutcome,
+    EpochOutcome, MachineCheckpoint,
 };
 pub use config::{ServeConfig, ServeConfigBuilder};
 pub use degrade::{DegradationPolicy, DegradeAction};

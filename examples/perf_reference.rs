@@ -8,7 +8,8 @@
 //!
 //! The checked-in hot-path file was captured from the tree *before* the
 //! tick-loop performance overhaul; the fleet file was captured when the
-//! sharded fleet landed. `tests/perf_reference.rs` compares every build
+//! sharded fleet landed, and its failover block before the failover
+//! checkpoints were reduced to the machine half. `tests/perf_reference.rs` compares every build
 //! against both byte-for-byte. Regenerate only when a scenario or report
 //! format intentionally changes — never to paper over a determinism diff.
 

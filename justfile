@@ -1,14 +1,15 @@
 # Common development tasks. `just ci` is the gate PRs must pass.
 
-# Formatting + release build (incl. examples and benches) + tests +
-# bench smoke + warning-free workspace clippy over all targets +
-# warning-free rustdoc (mirrors ci.sh).
+# Formatting + release build (incl. examples and benches) + every
+# crate's tests (the facade's among them) + bench smoke + warning-free
+# workspace clippy over all targets + warning-free rustdoc (mirrors
+# ci.sh).
 ci:
     cargo fmt --check
     cargo build --release
     cargo build --release --examples
     cargo build --release --benches
-    cargo test -q
+    cargo test --workspace -q
     cargo bench -p atm-bench --bench simperf -- --test
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

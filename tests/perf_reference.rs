@@ -43,9 +43,12 @@ fn full_reference_matches_golden_capture() {
     assert_same_text(&actual, expected, "reference bundle");
 }
 
-/// The fleet bundle — a quick sharded fleet, plain and fault-armed —
-/// must match the golden capture from the tree where the fleet subsystem
-/// landed, byte for byte, on every build.
+/// The fleet bundle — a quick sharded fleet, plain, fault-armed, and
+/// losing chips under failover with drift, adaptation and a fleet budget
+/// — must match the golden capture byte for byte on every build. The
+/// first two blocks date from the tree where the fleet subsystem landed;
+/// the failover block was appended before the failover checkpoints were
+/// slimmed down to the machine half, which must not move a byte of it.
 #[test]
 fn fleet_reference_matches_golden_capture() {
     let expected = include_str!("data/fleet_reference.txt");

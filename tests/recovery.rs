@@ -18,6 +18,7 @@
 
 use power_atm::adapt::AdaptConfig;
 use power_atm::capping::FleetBudget;
+use power_atm::experiments::perfref;
 use power_atm::faults::{
     chip_killer, droop_storm, FaultKind, FaultPlan, FaultSpec, FaultTarget, FleetFaultPlan,
 };
@@ -249,6 +250,49 @@ fn a_zero_retry_budget_sheds_on_the_first_bounce() {
     assert_eq!(report.routing.retried, 0, "{:?}", report.routing);
     assert!(report.routing.retry_shed > 0, "{:?}", report.routing);
     assert!(report.conservation_holds(), "{:?}", report.routing);
+}
+
+/// Every recovery feature at once — periodic hard fails under the
+/// failover ladder, drifting silicon with the adapter closed, a fleet
+/// budget that browns out mid-run — on the golden failover scenario:
+/// worker-count byte identity, resume identity through a mid-run
+/// checkpoint, and the exactly-once law at every barrier, together.
+#[test]
+fn combined_failover_drift_adapt_budget_keep_every_law() {
+    let cfg = perfref::fleet_failover_config(42);
+    let serial = FleetSim::new(cfg.clone()).expect("valid fleet").run(1);
+    let rendered = format!("{serial:#?}");
+    for workers in [2usize, 8] {
+        let sharded = FleetSim::new(cfg.clone())
+            .expect("valid fleet")
+            .run(workers);
+        assert_eq!(rendered, format!("{sharded:#?}"), "k = {workers}");
+    }
+    assert!(
+        include_str!("data/fleet_reference.txt").contains(&format!("{rendered}\n")),
+        "the combined run is not the golden failover capture"
+    );
+    // Non-vacuity: every feature under test actually engaged.
+    let r = &serial.routing;
+    assert!(r.hard_failed_chips > 0 && r.resurrected_chips > 0, "{r:?}");
+    assert!(r.retried > 0, "{r:?}");
+    assert!(serial.caps.iter().any(|c| c.throttle_steps > 0));
+    assert!(serial.adapt.iter().any(|a| a.observations > 0));
+
+    assert_resume_identity(&cfg, 2, 5, "combined");
+
+    let mut run = FleetSim::new(cfg).expect("valid fleet").start(2);
+    while !run.done() {
+        run.step_epoch(2);
+        let partial = run.clone().finish();
+        assert!(
+            partial.conservation_holds(),
+            "books unbalanced after epoch {}: {:?}",
+            run.epoch(),
+            partial.routing
+        );
+    }
+    assert_eq!(run.finish(), serial);
 }
 
 /// The bisection acceptance test: a three-spec campaign whose only
