@@ -1,7 +1,7 @@
 #!/bin/sh
 # The repo's CI gate: formatting, release build (examples and benches
-# included), every crate's tests (the facade's among them), a bench
-# smoke pass, warning-free workspace-wide clippy over every target, and
+# included), every crate's tests (the facade's among them), the
+# benchmark's own tests, a bench smoke pass, warning-free workspace-wide clippy over every target, and
 # warning-free rustdoc.
 set -eux
 
@@ -10,6 +10,8 @@ cargo build --release
 cargo build --release --examples
 cargo build --release --benches
 cargo test --workspace -q
+# The benchmark's own contract and mechanism tests (its own workspace).
+cargo test --release --manifest-path perfbench/Cargo.toml
 # Smoke the perf harness end to end (tiny spans, no JSON update).
 cargo bench -p atm-bench --bench simperf -- --test
 cargo clippy --workspace --all-targets -- -D warnings

@@ -669,8 +669,12 @@ impl AtmManager {
         crit_depth: u32,
         rec: &mut R,
     ) -> ThrottleSetting {
-        let pstates = self.system.config().pstates.clone();
-        let bg_setting = base.setting.stepped(&pstates, bg_depth);
+        // Never gate the critical core: clamp it one rung above the
+        // bottom, at the slowest p-state.
+        let pstates = &self.system.config().pstates;
+        let bg_setting = base.setting.stepped(pstates, bg_depth);
+        let slowest = ThrottleSetting::AtmMax.rungs_below(pstates) - 1;
+        let crit_setting = ThrottleSetting::AtmMax.stepped(pstates, crit_depth.min(slowest));
         for &core in &base.cores {
             if self.quarantined.contains(&core) || self.safe_mode.contains(&core) {
                 continue;
@@ -678,10 +682,7 @@ impl AtmManager {
             self.system.set_mode(core, bg_setting.margin_mode());
         }
         if !self.quarantined.contains(&critical) && !self.safe_mode.contains(&critical) {
-            let ladder = ThrottleSetting::ladder(&pstates);
-            // Never gate the critical core: clamp at the slowest p-state.
-            let idx = (crit_depth as usize).min(ladder.len() - 2);
-            self.system.set_mode(critical, ladder[idx].margin_mode());
+            self.system.set_mode(critical, crit_setting.margin_mode());
         }
         if rec.enabled() {
             rec.incr("manager.cap_applications", 1);
@@ -942,5 +943,31 @@ mod tests {
             .map(|c| mgr.system().core(c).reduction())
             .collect();
         assert_eq!(before, after);
+    }
+
+    /// The cap seam steps the background plan and pins the critical core
+    /// down the ladder, clamped at the slowest p-state: a cap may slow the
+    /// critical core but never gate it.
+    #[test]
+    fn cap_levels_step_the_background_and_never_gate_the_critical_core() {
+        let mut mgr = manager();
+        let pstates = mgr.system().config().pstates.clone();
+        let ladder = ThrottleSetting::ladder(&pstates);
+        let critical = CoreId::new(0, 0);
+        let base = ThrottlePlan {
+            cores: (1..8).map(|c| CoreId::new(0, c)).collect(),
+            setting: ladder[1],
+        };
+        for (bg_depth, crit_depth) in [(0, 0), (2, 3), (20, 8), (20, 9), (20, 40)] {
+            let bg = mgr.apply_cap_levels(&base, critical, bg_depth, crit_depth, &mut NullRecorder);
+            assert_eq!(bg, base.setting.stepped(&pstates, bg_depth));
+            assert_eq!(
+                mgr.system().core(CoreId::new(0, 3)).mode(),
+                bg.margin_mode()
+            );
+            let crit = ladder[(crit_depth as usize).min(ladder.len() - 2)];
+            assert_eq!(mgr.system().core(critical).mode(), crit.margin_mode());
+            assert_ne!(crit, ThrottleSetting::Gated);
+        }
     }
 }

@@ -59,14 +59,39 @@ impl ThrottleSetting {
         ladder
     }
 
+    /// Rung `idx` of [`ladder`](Self::ladder) over `pstates`, clamped at
+    /// [`ThrottleSetting::Gated`] — without building the ladder.
+    fn rung_at(pstates: &PStateTable, idx: usize) -> ThrottleSetting {
+        let states = pstates.states();
+        match idx {
+            0 => ThrottleSetting::AtmMax,
+            i if i <= states.len() => ThrottleSetting::Fixed(states[states.len() - i].frequency),
+            _ => ThrottleSetting::Gated,
+        }
+    }
+
+    /// This setting's index on [`ladder`](Self::ladder) over `pstates`
+    /// (its first match), or `None` off the ladder — without building it.
+    fn ladder_index(&self, pstates: &PStateTable) -> Option<usize> {
+        let states = pstates.states();
+        match self {
+            ThrottleSetting::AtmMax => Some(0),
+            ThrottleSetting::Fixed(f) => states
+                .iter()
+                .rev()
+                .position(|s| s.frequency == *f)
+                .map(|p| p + 1),
+            ThrottleSetting::Gated => Some(states.len() + 1),
+        }
+    }
+
     /// The next rung down the ladder (one notch more throttled), or `None`
     /// if this setting is already [`ThrottleSetting::Gated`] — the
     /// degradation policy's escalation step.
     #[must_use]
     pub fn step_down(&self, pstates: &PStateTable) -> Option<ThrottleSetting> {
-        let ladder = ThrottleSetting::ladder(pstates);
-        let pos = ladder.iter().position(|s| s == self)?;
-        ladder.get(pos + 1).copied()
+        let pos = self.ladder_index(pstates)?;
+        (pos <= pstates.states().len()).then(|| ThrottleSetting::rung_at(pstates, pos + 1))
     }
 
     /// The setting `depth` rungs below this one, clamped at
@@ -75,25 +100,18 @@ impl ThrottleSetting {
     /// table) step from the nearest slower rung.
     #[must_use]
     pub fn stepped(&self, pstates: &PStateTable, depth: u32) -> ThrottleSetting {
-        let ladder = ThrottleSetting::ladder(pstates);
-        let pos = ladder
-            .iter()
-            .position(|s| s == self)
-            .unwrap_or(ladder.len() - 1);
-        let idx = (pos + depth as usize).min(ladder.len() - 1);
-        ladder[idx]
+        let pos = self
+            .ladder_index(pstates)
+            .unwrap_or(pstates.states().len() + 1);
+        ThrottleSetting::rung_at(pstates, pos.saturating_add(depth as usize))
     }
 
     /// How many rungs of headroom remain below this setting before the
     /// ladder bottoms out at [`ThrottleSetting::Gated`].
     #[must_use]
     pub fn rungs_below(&self, pstates: &PStateTable) -> u32 {
-        let ladder = ThrottleSetting::ladder(pstates);
-        let pos = ladder
-            .iter()
-            .position(|s| s == self)
-            .unwrap_or(ladder.len() - 1);
-        (ladder.len() - 1 - pos) as u32
+        let gated = pstates.states().len() + 1;
+        (gated - self.ladder_index(pstates).unwrap_or(gated)) as u32
     }
 }
 
@@ -276,6 +294,33 @@ mod tests {
         assert_eq!(setting, ThrottleSetting::Gated);
         assert_eq!(hops, ThrottleSetting::ladder(&pstates).len() - 1);
         assert_eq!(ThrottleSetting::Gated.step_down(&pstates), None);
+    }
+
+    /// The ladder arithmetic walks the p-state table in place and must
+    /// agree with indexing the materialized ladder, for every rung and an
+    /// off-ladder frequency, at every depth.
+    #[test]
+    fn ladder_arithmetic_matches_the_materialized_ladder() {
+        let pstates = PStateTable::power7_plus();
+        let ladder = ThrottleSetting::ladder(&pstates);
+        let bottom = ladder.len() - 1;
+        let off = ThrottleSetting::Fixed(MegaHz::new(1234.5));
+        for setting in ladder.iter().copied().chain([off]) {
+            let pos = ladder.iter().position(|s| *s == setting);
+            let at = pos.unwrap_or(bottom);
+            assert_eq!(setting.rungs_below(&pstates) as usize, bottom - at);
+            assert_eq!(
+                setting.step_down(&pstates),
+                pos.and_then(|p| ladder.get(p + 1).copied())
+            );
+            for depth in 0..=12u32 {
+                assert_eq!(
+                    setting.stepped(&pstates, depth),
+                    ladder[(at + depth as usize).min(bottom)],
+                    "{setting} stepped {depth}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! The text produced by [`full_reference`] is checked in as
 //! `tests/data/reference_reports.txt`, captured from the tree *before*
-//! the tick-loop performance overhaul. `tests/perf_reference.rs` re-runs
+//! the tick-loop performance overhaul (its last block, the capped
+//! [`serve_brownout_reference`], was appended later, before `ServeSim`
+//! streamed its arrivals). `tests/perf_reference.rs` re-runs
 //! the scenarios on every build and compares byte-for-byte, proving the
 //! optimized hot path emits exactly the bit patterns the original one
 //! did.
@@ -23,8 +25,8 @@
 use atm_telemetry::NullRecorder;
 use std::fmt::Write as _;
 
-use atm_adapt::AdaptConfig;
-use atm_capping::{FleetBudget, PowerBudget, UNLIMITED_MW};
+use atm_adapt::{AdaptConfig, OnlineAdapter};
+use atm_capping::{CapConfig, FleetBudget, PowerBudget, UNLIMITED_MW};
 use atm_chip::{ChipConfig, MarginMode, System};
 use atm_core::charact::CharactConfig;
 use atm_core::{AtmManager, Governor, LimitTable};
@@ -33,7 +35,7 @@ use atm_fleet::{FailoverConfig, FleetConfig, FleetSim};
 use atm_serve::{ArrivalPattern, ServeConfig, ServeSim, StreamSpec};
 use atm_silicon::DriftModel;
 use atm_units::{CoreId, Nanos};
-use atm_workloads::{by_name, voltage_virus};
+use atm_workloads::{by_name, voltage_virus, Workload};
 
 /// Seeds exercised by the `SystemReport` scenarios.
 pub const SYSTEM_SEEDS: [u64; 2] = [5, 9];
@@ -113,6 +115,96 @@ pub fn serve_reference(seed: u64) -> String {
     let mgr = AtmManager::deploy(sys, Governor::Default, &CharactConfig::quick());
     let sim = ServeSim::new(mgr, ServeConfig::quick(seed), streams).expect("valid serving setup");
     let report = sim.run(1, &mut NullRecorder);
+    format!("{report:#?}\n")
+}
+
+/// The brownout window `[from, until)` of the serving scenario, in
+/// epochs: the cap drops inside it and lifts again after it.
+pub const BROWNOUT_WINDOW: (u32, u32) = (40, 140);
+
+/// The critical stream's SLO in the brownout scenario: tight enough that
+/// its running p99 comes within the admission's risk band and sheds
+/// background traffic, so the cached p99 the loop reads matters.
+const SLO: u64 = 180_000_000;
+
+fn brownout_streams() -> Vec<StreamSpec> {
+    let sq = by_name("squeezenet").expect("catalog");
+    let x264 = by_name("x264").expect("catalog");
+    let lu = by_name("lu_cb").expect("catalog");
+    vec![
+        StreamSpec::critical(
+            sq,
+            ArrivalPattern::Poisson {
+                mean_gap: 100_000_000,
+            },
+            SLO,
+        ),
+        StreamSpec::background(
+            x264,
+            ArrivalPattern::Bursty {
+                mean_gap: 8_000_000,
+                burst_gap: 1_000_000,
+                phase: 100_000_000,
+            },
+        ),
+        StreamSpec::background(
+            lu,
+            ArrivalPattern::Poisson {
+                mean_gap: 6_000_000,
+            },
+        ),
+    ]
+}
+
+/// A capped serving run through a power brownout: a quick-deployed chip
+/// serves 200 epochs × 200 ms of a critical SqueezeNet stream beside
+/// heavy bursty x264 and Poisson lu_cb traffic, while a
+/// [`PowerBudget::brownout`] scaled to the chip's own uncapped draw (150 %
+/// nominal, 60 % floor over [`BROWNOUT_WINDOW`]) throttles and then
+/// releases it. Aging silicon with the online adapter closed makes the
+/// adapter read the serving queues (idle cores, backlog) every epoch.
+/// The background load is heavy enough to defer and shed, and the
+/// critical stream completes more requests than there are epochs, so
+/// per-epoch tails see several samples.
+#[must_use]
+pub fn serve_brownout_sim(seed: u64) -> ServeSim {
+    let streams = brownout_streams();
+    let sys = System::new(ChipConfig::power7_plus(seed));
+    let mgr = AtmManager::deploy(sys, Governor::Default, &CharactConfig::quick());
+    let cfg = ServeConfig::builder(seed)
+        .epochs(200)
+        .epoch_ns(200_000_000)
+        .chip_trial(Nanos::new(1_000.0))
+        .build()
+        .expect("valid serving config");
+    // The chip's draw at its serving posture over one harvest trial.
+    let draw_mw = {
+        let mut probe = mgr.clone();
+        let backgrounds: Vec<Workload> = streams[1..].iter().map(|s| s.workload.clone()).collect();
+        probe
+            .serve_posture(
+                &streams[0].workload,
+                &backgrounds,
+                cfg.qos,
+                &mut NullRecorder,
+            )
+            .expect("the serving streams posture");
+        let report = probe.system_mut().run(cfg.chip_trial, &mut NullRecorder);
+        (report.procs[0].mean_power.get() * 1_000.0).round() as u64
+    };
+    let (from, until) = BROWNOUT_WINDOW;
+    let budget = PowerBudget::brownout(draw_mw * 3 / 2, draw_mw * 3 / 5, from, until);
+    let mut sim = ServeSim::new(mgr, cfg, streams).expect("valid serving setup");
+    sim.set_cap(CapConfig::standard(budget)).expect("valid cap");
+    sim.set_drift(DriftModel::standard(seed));
+    sim.set_adapter(Box::new(OnlineAdapter::new(AdaptConfig::standard())));
+    sim
+}
+
+/// [`serve_brownout_sim`] run to completion.
+#[must_use]
+pub fn serve_brownout_reference(seed: u64) -> String {
+    let report = serve_brownout_sim(seed).run(1, &mut NullRecorder);
     format!("{report:#?}\n")
 }
 
@@ -201,5 +293,7 @@ pub fn full_reference() -> String {
     out.push_str(&limit_table_reference(HEAVY_SEED));
     let _ = writeln!(out, "=== ServeReport quick seed={HEAVY_SEED} ===");
     out.push_str(&serve_reference(HEAVY_SEED));
+    let _ = writeln!(out, "=== ServeReport brownout seed={HEAVY_SEED} ===");
+    out.push_str(&serve_brownout_reference(HEAVY_SEED));
     out
 }

@@ -3,10 +3,13 @@
 //! Every stream's arrival trace is a pure function of `(root seed, stream
 //! index)`: each stream gets its own splitmix-derived [`StdRng`] and draws
 //! exponential inter-arrival gaps (plus one uniform service-jitter draw
-//! per request) completely independently of every other stream. Traces
-//! are pre-generated — in parallel across worker threads when asked — and
-//! merged into one timeline ordered by `(time, stream, seq)`, so the
-//! merged trace is byte-identical no matter how many workers produced it.
+//! per request) completely independently of every other stream.
+//! [`StreamArrivals`] draws one stream's trace lazily, and
+//! [`MergedArrivals`] merges the streams on the fly into one timeline
+//! ordered by `(time, stream, seq)`, so the serving loop never holds more
+//! than one upcoming request per stream.
+
+use std::iter::{FusedIterator, Peekable};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +29,15 @@ pub struct Request {
     pub draw: f64,
 }
 
+impl Request {
+    /// The timeline order, `(time, stream, seq)`: unique per request, so
+    /// every merge of the same traces yields the same timeline.
+    #[must_use]
+    pub fn key(&self) -> (u64, usize, u32) {
+        (self.time, self.stream, self.seq)
+    }
+}
+
 /// Derives the per-stream RNG seed from the root seed (splitmix64 of the
 /// stream index, xored in — streams stay decorrelated even for adjacent
 /// root seeds).
@@ -43,100 +55,128 @@ fn exp_gap(rng: &mut StdRng, mean: u64) -> u64 {
     (gap.ceil() as u64).max(1)
 }
 
-/// Generates one stream's trace over `[0, horizon)` ns.
-#[must_use]
-pub fn generate(spec: &StreamSpec, root_seed: u64, stream: usize, horizon: u64) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(stream_seed(root_seed, stream));
-    let mut out = Vec::new();
-    let mut t = 0u64;
-    let mut seq = 0u32;
-    loop {
-        let mean = match spec.pattern {
+/// One stream's arrivals over `[0, horizon)`, drawn lazily in time
+/// order: the stream's own RNG, clock and sequence counter advance one
+/// request per [`next`](Iterator::next), with exactly the draws
+/// [`generate`] makes.
+#[derive(Debug, Clone)]
+pub struct StreamArrivals {
+    rng: StdRng,
+    pattern: ArrivalPattern,
+    stream: usize,
+    horizon: u64,
+    t: u64,
+    seq: u32,
+}
+
+impl StreamArrivals {
+    /// The arrivals of stream `stream` (its index in the sim's stream
+    /// list) under root seed `root_seed`.
+    #[must_use]
+    pub fn new(spec: &StreamSpec, root_seed: u64, stream: usize, horizon: u64) -> Self {
+        StreamArrivals {
+            rng: StdRng::seed_from_u64(stream_seed(root_seed, stream)),
+            pattern: spec.pattern,
+            stream,
+            horizon,
+            t: 0,
+            seq: 0,
+        }
+    }
+}
+
+impl Iterator for StreamArrivals {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        // Past the horizon the clock stays put, so the stream stays
+        // exhausted without further draws.
+        if self.t >= self.horizon {
+            return None;
+        }
+        let mean = match self.pattern {
             ArrivalPattern::Poisson { mean_gap } => mean_gap,
             ArrivalPattern::Bursty {
                 mean_gap,
                 burst_gap,
                 phase,
             } => {
-                if (t / phase).is_multiple_of(2) {
+                if (self.t / phase).is_multiple_of(2) {
                     mean_gap
                 } else {
                     burst_gap
                 }
             }
         };
-        t = t.saturating_add(exp_gap(&mut rng, mean));
-        if t >= horizon {
-            return out;
+        self.t = self.t.saturating_add(exp_gap(&mut self.rng, mean));
+        if self.t >= self.horizon {
+            return None;
         }
-        let draw: f64 = rng.gen();
-        out.push(Request {
-            time: t,
-            stream,
-            seq,
+        let draw: f64 = self.rng.gen();
+        let request = Request {
+            time: self.t,
+            stream: self.stream,
+            seq: self.seq,
             draw,
-        });
-        seq += 1;
+        };
+        self.seq += 1;
+        Some(request)
     }
 }
 
-/// Generates every stream's trace — fanned out over up to `workers`
-/// threads — and merges them into one `(time, stream, seq)`-ordered
-/// timeline. The result is independent of `workers` because each trace
-/// depends only on its own stream's seed.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
+impl FusedIterator for StreamArrivals {}
+
+/// Generates one stream's trace over `[0, horizon)` ns.
 #[must_use]
-pub fn generate_all(
-    streams: &[StreamSpec],
-    root_seed: u64,
-    horizon: u64,
-    workers: usize,
-) -> Vec<Request> {
-    assert!(workers > 0, "need at least one worker");
-    let workers = workers.min(streams.len()).max(1);
-    let mut traces: Vec<Vec<Request>> = Vec::new();
-    if workers == 1 {
-        traces.extend(
-            streams
-                .iter()
-                .enumerate()
-                .map(|(i, s)| generate(s, root_seed, i, horizon)),
-        );
-    } else {
-        let mut slots: Vec<Option<Vec<Request>>> = vec![None; streams.len()];
-        std::thread::scope(|scope| {
-            let mut pending: Vec<(usize, &StreamSpec, &mut Option<Vec<Request>>)> = streams
-                .iter()
-                .enumerate()
-                .zip(slots.iter_mut())
-                .map(|((i, s), slot)| (i, s, slot))
-                .collect();
-            let mut chunks: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
-            for (n, job) in pending.drain(..).enumerate() {
-                chunks[n % workers].push(job);
-            }
-            for chunk in chunks {
-                scope.spawn(move || {
-                    for (i, spec, slot) in chunk {
-                        *slot = Some(generate(spec, root_seed, i, horizon));
-                    }
-                });
-            }
-        });
-        traces.extend(slots.into_iter().map(|s| s.expect("worker filled slot")));
-    }
-    let mut merged: Vec<Request> = traces.into_iter().flatten().collect();
-    merged.sort_by_key(|r| (r.time, r.stream, r.seq));
-    merged
+pub fn generate(spec: &StreamSpec, root_seed: u64, stream: usize, horizon: u64) -> Vec<Request> {
+    StreamArrivals::new(spec, root_seed, stream, horizon).collect()
 }
+
+/// Every stream's arrivals merged lazily into one `(time, stream, seq)`
+/// timeline. Each stream's trace is already in that order and the keys
+/// are unique (each carries its stream index), so repeatedly taking the
+/// smallest head among the streams yields exactly the stable sort of
+/// all traces — while holding one pending request per stream instead of
+/// the whole trace.
+#[derive(Debug, Clone)]
+pub struct MergedArrivals {
+    sources: Vec<Peekable<StreamArrivals>>,
+}
+
+impl MergedArrivals {
+    /// The merged timeline of `streams` over `[0, horizon)` ns.
+    #[must_use]
+    pub fn new(streams: &[StreamSpec], root_seed: u64, horizon: u64) -> Self {
+        let sources = streams
+            .iter()
+            .enumerate()
+            .map(|(i, s)| StreamArrivals::new(s, root_seed, i, horizon).peekable())
+            .collect();
+        MergedArrivals { sources }
+    }
+}
+
+impl Iterator for MergedArrivals {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        let (i, _) = self
+            .sources
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, s)| s.peek().map(|r| (i, r.key())))
+            .min_by_key(|&(_, key)| key)?;
+        self.sources[i].next()
+    }
+}
+
+impl FusedIterator for MergedArrivals {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use atm_workloads::by_name;
+    use proptest::prelude::*;
 
     fn specs() -> Vec<StreamSpec> {
         let sq = by_name("squeezenet").unwrap();
@@ -160,27 +200,98 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn traces_are_sorted_and_seeded() {
-        let a = generate_all(&specs(), 7, 2_000_000_000, 1);
-        assert!(!a.is_empty());
-        assert!(a
-            .windows(2)
-            .all(|w| (w[0].time, w[0].stream, w[0].seq) < (w[1].time, w[1].stream, w[1].seq)));
-        assert!(a.iter().all(|r| r.time < 2_000_000_000 && r.draw < 1.0));
-        let b = generate_all(&specs(), 7, 2_000_000_000, 1);
-        assert_eq!(a, b);
-        assert_ne!(a, generate_all(&specs(), 8, 2_000_000_000, 1));
+    /// The merge oracle: every stream's trace materialized, concatenated
+    /// and sorted by `(time, stream, seq)`.
+    fn generate_all(streams: &[StreamSpec], root_seed: u64, horizon: u64) -> Vec<Request> {
+        let mut merged: Vec<Request> = streams
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| generate(s, root_seed, i, horizon))
+            .collect();
+        merged.sort_by_key(Request::key);
+        merged
+    }
+
+    fn merged(streams: &[StreamSpec], root_seed: u64, horizon: u64) -> Vec<Request> {
+        MergedArrivals::new(streams, root_seed, horizon).collect()
     }
 
     #[test]
-    fn worker_count_does_not_change_the_trace() {
-        for workers in [2, 3, 8] {
-            assert_eq!(
-                generate_all(&specs(), 42, 1_000_000_000, 1),
-                generate_all(&specs(), 42, 1_000_000_000, workers),
-                "workers={workers}"
-            );
+    fn traces_are_sorted_and_seeded() {
+        let a = merged(&specs(), 7, 2_000_000_000);
+        assert!(!a.is_empty());
+        assert!(a.windows(2).all(|w| w[0].key() < w[1].key()));
+        assert!(a.iter().all(|r| r.time < 2_000_000_000 && r.draw < 1.0));
+        assert_eq!(a, merged(&specs(), 7, 2_000_000_000));
+        assert_ne!(a, merged(&specs(), 8, 2_000_000_000));
+    }
+
+    #[test]
+    fn an_arrival_on_the_horizon_is_excluded() {
+        let long = generate_all(&specs(), 42, 3_000_000_000);
+        let edge = long[long.len() / 2];
+        let lazy = merged(&specs(), 42, edge.time);
+        assert_eq!(lazy, generate_all(&specs(), 42, edge.time));
+        let before: Vec<Request> = long
+            .iter()
+            .copied()
+            .filter(|r| r.time < edge.time)
+            .collect();
+        assert_eq!(
+            lazy, before,
+            "the horizon cuts the trace at `time < horizon`"
+        );
+        assert!(!lazy.contains(&edge));
+        let mut stream = StreamArrivals::new(&specs()[edge.stream], 42, edge.stream, edge.time);
+        assert_eq!(stream.by_ref().count() as u32, edge.seq);
+        assert_eq!(stream.next(), None, "an exhausted stream stays exhausted");
+    }
+
+    #[test]
+    fn empty_horizon_and_no_streams_yield_nothing() {
+        assert_eq!(merged(&specs(), 42, 0), Vec::new());
+        assert_eq!(merged(&[], 42, 1_000_000_000), Vec::new());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The lazy k-way merge yields exactly the sorted timeline of the
+        /// materialized traces, for Poisson and bursty streams alike.
+        #[test]
+        fn lazy_merge_equals_the_sorted_timeline(
+            seed in any::<u64>(),
+            gaps in prop::collection::vec(
+                (100_000u64..5_000_000, 20_000u64..2_000_000, 1u64..50_000_000, any::<bool>()),
+                1..5,
+            ),
+            horizon in 0u64..200_000_000,
+        ) {
+            let streams: Vec<StreamSpec> = gaps
+                .iter()
+                .enumerate()
+                .map(|(i, &(mean_gap, burst_gap, phase, bursty))| {
+                    let pattern = if bursty {
+                        ArrivalPattern::Bursty { mean_gap, burst_gap, phase }
+                    } else {
+                        ArrivalPattern::Poisson { mean_gap }
+                    };
+                    let workload = by_name("x264").unwrap();
+                    if i == 0 {
+                        StreamSpec::critical(workload, pattern, 0)
+                    } else {
+                        StreamSpec::background(workload, pattern)
+                    }
+                })
+                .collect();
+            let oracle = generate_all(&streams, seed, horizon);
+            prop_assert_eq!(merged(&streams, seed, horizon), oracle.clone());
+            // Cut again exactly on an arrival: it must fall outside.
+            if let Some(edge) = oracle.get(oracle.len() / 2) {
+                let cut = merged(&streams, seed, edge.time);
+                prop_assert_eq!(cut.clone(), generate_all(&streams, seed, edge.time));
+                prop_assert!(cut.iter().all(|r| r.time < edge.time));
+            }
         }
     }
 

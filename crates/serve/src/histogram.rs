@@ -113,6 +113,28 @@ impl LatencyHistogram {
         self.max
     }
 
+    /// The `q`-quantile of an ascending slice of samples, reported
+    /// exactly as [`quantile`](Self::quantile) would report it had the
+    /// samples been recorded into an empty histogram: the floor of the
+    /// bucket holding the `⌈q·len⌉`-th smallest sample; 0 when empty.
+    /// Every sample in a lower bucket is smaller and every sample in a
+    /// higher one larger, so that bucket is the first whose cumulative
+    /// count reaches the rank. Costs one index instead of a bucket scan,
+    /// which is what a per-epoch tail over a handful of samples wants.
+    ///
+    /// `sorted` must be in ascending order (checked in debug builds).
+    #[must_use]
+    pub fn quantile_of_sorted(sorted: &[u64], q: f64) -> u64 {
+        assert!((0.0..=1.0).contains(&q), "q out of [0,1]: {q}");
+        debug_assert!(sorted.is_sorted(), "samples must be ascending");
+        if sorted.is_empty() {
+            return 0;
+        }
+        let total = sorted.len() as u64;
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        bucket_floor(bucket_of(sorted[(rank - 1) as usize]))
+    }
+
     /// Folds `other`'s samples into this histogram. Because the buckets
     /// are fixed, merging per-chip histograms and then reading quantiles
     /// is exactly equivalent to having recorded every sample into one
@@ -125,19 +147,12 @@ impl LatencyHistogram {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
-
-    /// Clears the histogram for reuse (the per-epoch tracker).
-    pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-        self.sum = 0;
-        self.max = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn buckets_are_monotone_and_invertible() {
@@ -188,11 +203,61 @@ mod tests {
         assert_eq!(left, whole);
     }
 
+    /// Samples biased towards the bucket layout's edges: the 1:1 range,
+    /// its boundary at 64, small values and the full `u64` range.
+    fn sample() -> impl Strategy<Value = u64> {
+        (0u8..6, any::<u64>()).prop_map(|(kind, v)| match kind {
+            0 => [0, 63, 64, u64::MAX][(v % 4) as usize],
+            1 => v % 128,
+            2 => v % 1_000_000,
+            3 => v >> (v % 64),
+            _ => v,
+        })
+    }
+
     #[test]
-    fn reset_returns_to_empty() {
-        let mut h = LatencyHistogram::new();
-        h.record(12345);
-        h.reset();
-        assert_eq!(h, LatencyHistogram::new());
+    fn sorted_quantile_covers_the_edges() {
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(LatencyHistogram::quantile_of_sorted(&[], q), 0);
+        }
+        for v in [0, 63, 64, 65, u64::MAX] {
+            let mut h = LatencyHistogram::new();
+            h.record(v);
+            for q in [0.5, 0.95, 0.99, 1.0] {
+                assert_eq!(LatencyHistogram::quantile_of_sorted(&[v], q), h.quantile(q));
+            }
+        }
+        assert_eq!(LatencyHistogram::quantile_of_sorted(&[63, 64], 1.0), 64);
+        assert_eq!(
+            LatencyHistogram::quantile_of_sorted(&[0, u64::MAX], 1.0),
+            bucket_floor(BUCKETS - 1)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sorted-slice quantile reports exactly the bucket the
+        /// histogram's scan does, at every quantile the serving layer
+        /// reads.
+        #[test]
+        fn sorted_quantile_equals_the_histogram_scan(
+            samples in prop::collection::vec(sample(), 0..40),
+        ) {
+            let mut h = LatencyHistogram::new();
+            for &v in &samples {
+                h.record(v);
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            for q in [0.5, 0.95, 0.99, 1.0] {
+                prop_assert_eq!(
+                    LatencyHistogram::quantile_of_sorted(&sorted, q),
+                    h.quantile(q),
+                    "q={}",
+                    q
+                );
+            }
+        }
     }
 }

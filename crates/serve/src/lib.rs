@@ -10,8 +10,8 @@
 //!
 //! * [`StreamSpec`]/[`ArrivalPattern`] — seeded open-loop request streams
 //!   (Poisson or bursty phases), one critical + any number of background;
-//! * [`arrival`] — parallel per-stream trace pre-generation whose merged
-//!   timeline is independent of worker count;
+//! * [`arrival`] — per-stream traces drawn lazily from each stream's own
+//!   seed and merged on the fly into one `(time, stream, seq)` timeline;
 //! * [`AdmissionConfig`] — backpressure: defer, then shed background
 //!   requests as backlog grows or the critical p99 approaches its SLO;
 //! * [`LatencyHistogram`] — fixed-bucket (log-linear) latency tracking

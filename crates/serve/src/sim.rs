@@ -10,14 +10,20 @@
 //! alarms into CPM rollbacks, critical re-placement, and background
 //! throttling, all recorded in the final [`ServeReport`].
 //!
-//! Everything is a pure function of the seeds: arrivals are pre-generated
-//! per stream (in parallel when asked — the merge is worker-count
-//! independent), the event loop is serial in virtual time, and the report
-//! carries only integers, so a fixed seed yields a byte-identical
-//! [`ServeReport`] on every run.
+//! Everything is a pure function of the seeds: each stream's arrivals are
+//! drawn lazily from its own RNG and merged on the fly in
+//! `(time, stream, seq)` order, the event loop is serial in virtual time,
+//! and the report carries only integers, so a fixed seed yields a
+//! byte-identical [`ServeReport`] on every run.
+//!
+//! The loop's bookkeeping scales with the work done: per-core backlogs
+//! live in flat arrays with finish queues popped from the front, the
+//! live background cores are listed once per epoch, each epoch's tail is
+//! read off that epoch's own sorted latencies, and the critical stream's
+//! running p99 is re-read only when it gained samples.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use atm_adapt::{AdaptContext, Adapter, NullAdapter};
@@ -26,7 +32,7 @@ use atm_chip::{ChipEvent, FailureEvent, FailureKind, FaultHook, PStateTable};
 use atm_core::{AtmManager, MarginSupervisor, ServePosture, SupervisorAction};
 use atm_silicon::DriftModel;
 use atm_telemetry::{AdmissionDecision, AdmissionVerdict, Recorder, SimTime, TelemetryEvent};
-use atm_units::{AtmError, CoreId, Nanos, ProcId};
+use atm_units::{AtmError, CoreId, Nanos, ProcId, CORES_PER_PROC, NUM_PROCS};
 use atm_workloads::{ServiceProfile, Workload};
 
 use crate::admission::Admission;
@@ -84,7 +90,8 @@ struct StreamState {
     slo_violations: u64,
     max_queue_depth: u64,
     hist: LatencyHistogram,
-    epoch_hist: LatencyHistogram,
+    /// This epoch's latencies, sorted and cleared at the barrier.
+    epoch_latencies: Vec<u64>,
     epoch_p99: Vec<u64>,
 }
 
@@ -98,7 +105,7 @@ impl StreamState {
             slo_violations: 0,
             max_queue_depth: 0,
             hist: LatencyHistogram::new(),
-            epoch_hist: LatencyHistogram::new(),
+            epoch_latencies: Vec::new(),
             epoch_p99: Vec::new(),
         }
     }
@@ -267,8 +274,11 @@ impl ServeSim {
         ));
     }
 
-    /// Runs the full serving trace, pre-generating arrivals on up to
-    /// `workers` threads, and returns the deterministic report.
+    /// Runs the full serving trace and returns the deterministic report.
+    ///
+    /// `workers` is kept for callers that size a thread pool: arrivals
+    /// are drawn lazily on the calling thread, so it no longer affects
+    /// the run — and, as before, never affects the report.
     ///
     /// Chip harvests, admission verdicts, latencies, rollbacks and
     /// throttle step-downs record through `rec`, with the recorder clock
@@ -285,6 +295,7 @@ impl ServeSim {
         // mutable access through the whole trace, so the config and stream
         // specs move into locals and are borrowed from there — no per-run
         // clones of the config or the critical spec.
+        assert!(workers > 0, "need at least one worker");
         let ServeSim {
             mut mgr,
             cfg,
@@ -336,13 +347,22 @@ impl ServeSim {
             EnergyMeter::new(energy.unwrap_or_else(|| EnergyModel::standard(cfg.epoch_ns)));
         let mut cap = capping.map(|c| (PowerRegulator::new(c.regulator), c, CapReport::new()));
 
-        let arrivals = arrival::generate_all(&streams, cfg.seed, horizon, workers);
-        let mut next_arrival = 0usize;
+        let mut arrivals = arrival::MergedArrivals::new(&streams, cfg.seed, horizon).peekable();
         let mut pending: BinaryHeap<Pending> = BinaryHeap::new();
 
         let mut states: Vec<StreamState> = streams.iter().map(|_| StreamState::new()).collect();
-        let mut free_at: BTreeMap<CoreId, u64> = BTreeMap::new();
-        let mut finishes: BTreeMap<CoreId, Vec<u64>> = BTreeMap::new();
+        // Per core (by flat index): when its queue drains (0 if it never
+        // served), and the finish times still ahead of the clock, in
+        // order.
+        let mut free_at = [0u64; NUM_PROCS * CORES_PER_PROC];
+        let mut finishes: Vec<VecDeque<u64>> = vec![VecDeque::new(); free_at.len()];
+        // The critical stream's running p99, as of the sample count it
+        // was read at.
+        let mut crit_p99 = (0u64, 0u64);
+        let bg_cap = cfg
+            .serving_cores
+            .map_or(usize::MAX, |n| (n as usize).saturating_sub(1));
+        let mut live_bg: Vec<CoreId> = Vec::new();
         let mut transitions: Vec<Transition> = Vec::new();
         let mut action_texts: Vec<String> = Vec::new();
 
@@ -442,7 +462,7 @@ impl ServeSim {
                     .placement
                     .background_cores
                     .iter()
-                    .filter(|c| free_at.get(c).copied().unwrap_or(0) <= epoch_start)
+                    .filter(|c| free_at[c.flat_index()] <= epoch_start)
                     .copied()
                     .collect();
                 let blocked: std::collections::BTreeSet<CoreId> = serving
@@ -455,7 +475,7 @@ impl ServeSim {
                     .copied()
                     .collect();
                 let backlog_ns = free_at
-                    .values()
+                    .iter()
                     .map(|f| f.saturating_sub(epoch_start))
                     .sum::<u64>();
                 let changed = adapter.on_epoch(AdaptContext {
@@ -532,17 +552,30 @@ impl ServeSim {
                 });
             }
 
-            let critical_at_risk = crit_slo > 0
-                && states[crit_idx].hist.count() >= 20
-                && states[crit_idx].hist.quantile(0.99) as f64
-                    > cfg.admission.slo_risk * crit_slo as f64;
+            let crit_count = states[crit_idx].hist.count();
+            let critical_at_risk = crit_slo > 0 && crit_count >= 20 && {
+                if crit_p99.0 != crit_count {
+                    crit_p99 = (crit_count, states[crit_idx].hist.quantile(0.99));
+                }
+                crit_p99.1 as f64 > cfg.admission.slo_risk * crit_slo as f64
+            };
+
+            // The background cores that can take work this epoch: the
+            // posture holds still while the epoch's requests dispatch.
+            live_bg.clear();
+            live_bg.extend(
+                posture
+                    .placement
+                    .background_cores
+                    .iter()
+                    .take(bg_cap)
+                    .filter(|c| posture.freq_of(**c).get() > 0.0),
+            );
 
             // Dispatch this epoch's arrivals and readmissions in
             // (time, stream, seq) order.
             loop {
-                let arr_key = arrivals
-                    .get(next_arrival)
-                    .map(|a| (a.time, a.stream, a.seq));
+                let arr_key = arrivals.peek().map(arrival::Request::key);
                 let use_pending = match (arr_key, pending.peek().map(Pending::key)) {
                     (Some(a), Some(p)) => p < a,
                     (None, Some(_)) => true,
@@ -556,11 +589,10 @@ impl ServeSim {
                     }
                     pending.pop().expect("peeked")
                 } else {
-                    let a = arrivals[next_arrival];
-                    if a.time >= epoch_end {
+                    if arr_key.expect("peeked").0 >= epoch_end {
                         break;
                     }
-                    next_arrival += 1;
+                    let a = arrivals.next().expect("peeked");
                     Pending {
                         time: a.time,
                         stream: a.stream,
@@ -584,16 +616,9 @@ impl ServeSim {
                 let core = match spec.class {
                     StreamClass::Critical => posture.placement.critical_core,
                     StreamClass::Background => {
-                        let bg_cap = cfg
-                            .serving_cores
-                            .map_or(usize::MAX, |n| (n as usize).saturating_sub(1));
-                        let live = posture
-                            .placement
-                            .background_cores
+                        let live = live_bg
                             .iter()
-                            .take(bg_cap)
-                            .filter(|c| posture.freq_of(**c).get() > 0.0)
-                            .min_by_key(|c| (free_at.get(c).copied().unwrap_or(0), c.flat_index()))
+                            .min_by_key(|c| (free_at[c.flat_index()], c.flat_index()))
                             .copied();
                         match live {
                             Some(c) => c,
@@ -607,7 +632,8 @@ impl ServeSim {
                         }
                     }
                 };
-                let backlog = free_at.get(&core).copied().unwrap_or(0).saturating_sub(now);
+                let slot = core.flat_index();
+                let backlog = free_at[slot].saturating_sub(now);
                 let verdict =
                     cfg.admission
                         .decide(spec.class, backlog, req.defers, critical_at_risk);
@@ -655,12 +681,18 @@ impl ServeSim {
                     .get()
                     .round()
                     .max(1.0) as u64;
-                let start = now.max(free_at.get(&core).copied().unwrap_or(0));
+                let start = now.max(free_at[slot]);
                 let finish = start + service;
-                free_at.insert(core, finish);
-                let fin = finishes.entry(core).or_default();
-                fin.retain(|&f| f > now);
-                fin.push(finish);
+                free_at[slot] = finish;
+                // A core's finishes only grow (each starts at or after
+                // the previous one), so the ones behind the clock are a
+                // prefix of its queue.
+                let fin = &mut finishes[slot];
+                while fin.front().is_some_and(|&f| f <= now) {
+                    fin.pop_front();
+                }
+                debug_assert!(fin.back().is_none_or(|&f| f < finish));
+                fin.push_back(finish);
                 state.max_queue_depth = state.max_queue_depth.max(fin.len() as u64);
 
                 let latency = finish - req.orig;
@@ -671,7 +703,7 @@ impl ServeSim {
                 }
                 rec.observe("serve.latency_ns", latency);
                 state.hist.record(latency);
-                state.epoch_hist.record(latency);
+                state.epoch_latencies.push(latency);
                 state.completed += 1;
                 epoch_busy_ns += service;
                 epoch_completed += 1;
@@ -689,8 +721,12 @@ impl ServeSim {
             meter.add_requests(epoch_completed);
 
             for state in &mut states {
-                state.epoch_p99.push(state.epoch_hist.quantile(0.99));
-                state.epoch_hist.reset();
+                state.epoch_latencies.sort_unstable();
+                state.epoch_p99.push(LatencyHistogram::quantile_of_sorted(
+                    &state.epoch_latencies,
+                    0.99,
+                ));
+                state.epoch_latencies.clear();
             }
         }
 
@@ -759,4 +795,35 @@ fn apply_extra_throttle(
     plan.apply(mgr.system_mut());
     posture.placement.plan = Some(plan);
     posture.core_freqs = mgr.measure_core_freqs(proc);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use atm_chip::{ChipConfig, System};
+    use atm_core::charact::CharactConfig;
+    use atm_core::Governor;
+    use atm_telemetry::NullRecorder;
+    use atm_workloads::by_name;
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn zero_workers_still_panics() {
+        let sys = System::new(ChipConfig::power7_plus(42));
+        let campaign = CharactConfig::builder()
+            .trial(Nanos::new(2_000.0))
+            .repeats(1)
+            .build()
+            .unwrap();
+        let mgr = AtmManager::deploy(sys, Governor::Default, &campaign);
+        let pattern = crate::ArrivalPattern::Poisson {
+            mean_gap: 50_000_000,
+        };
+        let streams = vec![
+            StreamSpec::critical(by_name("squeezenet").unwrap(), pattern, 0),
+            StreamSpec::background(by_name("x264").unwrap(), pattern),
+        ];
+        let sim = ServeSim::new(mgr, ServeConfig::quick(42), streams).unwrap();
+        let _ = sim.run(0, &mut NullRecorder);
+    }
 }

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! The checked-in hot-path file was captured from the tree *before* the
-//! tick-loop performance overhaul; the fleet file was captured when the
+//! tick-loop performance overhaul, and its brownout serving block before
+//! `ServeSim` streamed its arrivals; the fleet file was captured when the
 //! sharded fleet landed, and its failover block before the failover
 //! checkpoints were reduced to the machine half. `tests/perf_reference.rs` compares every build
 //! against both byte-for-byte. Regenerate only when a scenario or report

@@ -1,7 +1,8 @@
 # Common development tasks. `just ci` is the gate PRs must pass.
 
 # Formatting + release build (incl. examples and benches) + every
-# crate's tests (the facade's among them) + bench smoke + warning-free
+# crate's tests (the facade's among them) + the benchmark's own tests +
+# bench smoke + warning-free
 # workspace clippy over all targets + warning-free rustdoc (mirrors
 # ci.sh).
 ci:
@@ -10,6 +11,7 @@ ci:
     cargo build --release --examples
     cargo build --release --benches
     cargo test --workspace -q
+    cargo test --release --manifest-path perfbench/Cargo.toml
     cargo bench -p atm-bench --bench simperf -- --test
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

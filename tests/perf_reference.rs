@@ -6,7 +6,9 @@
 //!
 //! 1. the full reference bundle — steady-state, droop-heavy, parallel
 //!    characterization and serving scenarios — must match the golden file
-//!    captured from the tree *before* the overhaul, byte for byte;
+//!    captured from the tree *before* the overhaul, byte for byte (the
+//!    capped brownout serving block was captured later, before the
+//!    serving loop's bookkeeping was streamlined);
 //! 2. disabling the stride fast path (`System::set_stride(false)`) must
 //!    not change any report, while the fast path must actually engage
 //!    when enabled;
@@ -36,6 +38,10 @@ fn assert_same_text(actual: &str, expected: &str, what: &str) {
     );
 }
 
+/// The hot-path bundle must match the golden capture byte for byte. Its
+/// last block, a capped serving run through a brownout, was appended
+/// before `ServeSim` streamed its arrivals and trimmed its per-request
+/// and per-epoch bookkeeping, which must not move a byte of it.
 #[test]
 fn full_reference_matches_golden_capture() {
     let expected = include_str!("data/reference_reports.txt");
@@ -54,6 +60,49 @@ fn fleet_reference_matches_golden_capture() {
     let expected = include_str!("data/fleet_reference.txt");
     let actual = perfref::fleet_full_reference();
     assert_same_text(&actual, expected, "fleet bundle");
+}
+
+/// The brownout golden only guards the serving loop's bookkeeping if the
+/// run actually goes through it: deferred readmissions through the
+/// pending heap, sheds, cap throttles and releases with their
+/// transitions, adapter probes placed from the queues' idle cores, and
+/// epochs whose tail is taken over several samples.
+#[test]
+fn serve_brownout_reference_is_not_vacuous() {
+    let report = perfref::serve_brownout_sim(perfref::HEAVY_SEED).run(1, &mut NullRecorder);
+    assert!(report.deferred > 0, "no request was deferred");
+    assert!(report.shed > 0, "no request was shed");
+    let cap = report.cap.as_ref().expect("the cap is armed");
+    assert!(cap.throttle_steps > 0, "the cap never throttled");
+    assert!(cap.release_steps > 0, "the cap never released");
+    for (what, prefix) in [("throttle", "cap throttle"), ("release", "cap release")] {
+        assert!(
+            report
+                .transitions
+                .iter()
+                .any(|t| t.action.starts_with(prefix)),
+            "no cap {what} transition"
+        );
+    }
+    let (from, until) = perfref::BROWNOUT_WINDOW;
+    assert!(cap.depth[..from as usize].iter().all(|&d| d == 0));
+    assert!(cap.depth[from as usize..until as usize]
+        .iter()
+        .any(|&d| d > 0));
+    assert_eq!(cap.final_depth, 0, "the cap must lift after the brownout");
+    let adapt = report.adapt.as_ref().expect("the adapter is armed");
+    assert!(adapt.probes_run > 0, "no probe ran on an idle core");
+    // More completions than epochs puts at least two samples into some
+    // epoch of every stream (pigeonhole).
+    for s in &report.streams {
+        assert!(
+            s.completed > u64::from(report.epochs),
+            "{}: {} completions over {} epochs",
+            s.name,
+            s.completed,
+            report.epochs
+        );
+    }
 }
 
 fn atm_report(seed: u64, stride: bool, span: Nanos) -> (String, u64) {
