@@ -105,6 +105,12 @@ pub trait Adapter: Send + fmt::Debug {
     fn clone_box(&self) -> Box<dyn Adapter>;
 }
 
+impl Clone for Box<dyn Adapter> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// The do-nothing adapter: production serving with adaptation off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullAdapter;

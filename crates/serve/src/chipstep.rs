@@ -1,35 +1,36 @@
-//! Per-epoch chip stepping for fleet-scale simulation.
+//! The one managed-chip epoch body, steppable from the outside.
 //!
-//! [`ServeSim`](crate::ServeSim) owns its whole timeline: it generates
-//! arrivals, loops over epochs, and returns one report. A *fleet* of
-//! chips cannot work that way — a fleet-level router decides, at every
-//! epoch barrier, which chip each request lands on, so the per-chip
-//! serving machinery has to be steppable from the outside.
-//!
-//! [`ChipServer`] is that seam: the managed-chip epoch body of
-//! `ServeSim` (chip-event harvest → supervisor ladder → degradation →
-//! re-posture → dispatch) refactored into an incremental object. The
-//! fleet loop calls [`ChipServer::step_epoch`] once per epoch with the
-//! requests routed to this chip, reads a [`ChipSnapshot`] at the barrier
-//! to drive placement, and finally folds the [`ChipSummary`] into the
-//! fleet report. Every piece of state is integer-valued or
-//! deterministic, so a chip stepped by any worker thread produces the
-//! same bytes.
+//! [`ChipServer`] owns a managed chip, its control ladders and its
+//! per-core queues. Each epoch it runs silicon drift → a short hardware
+//! trial harvesting [`ChipEvent`]s → the supervisor ladder (or, without
+//! one, the plain droop policy's CPM rollback) and the droop throttle →
+//! re-posture → the online adapter → the power regulator, then serves
+//! what its caller hands it. [`ServeSim`](crate::ServeSim) drives one
+//! chip over its own timeline (arrivals, admission, report); a fleet's
+//! barrier loop calls [`ChipServer::step_epoch`] with the requests routed
+//! to this chip, reads a [`ChipSnapshot`] at each barrier and folds the
+//! [`ChipSummary`] into its report. Callers choose features by what they
+//! pass in — a supervisor or none, their recorder, the service profile
+//! to sample. Every piece of state is integer-valued or deterministic,
+//! so a chip stepped by any worker thread produces the same bytes.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use atm_adapt::{AdaptContext, AdaptReport, Adapter, NullAdapter};
 use atm_capping::{
     CapAction, CapConfig, CapReport, EnergyMeter, EnergyModel, EnergyReport, PowerRegulator,
 };
-use atm_chip::{FailureKind, FaultHook, PStateTable};
-use atm_core::{AtmManager, MarginSupervisor, QosTarget, ServePosture, SupervisorConfig};
+use atm_chip::{ChipEvent, FailureEvent, FailureKind, FaultHook, PStateTable, SystemReport};
+use atm_core::{
+    AtmManager, MarginSupervisor, QosTarget, ServePosture, SupervisorAction, SupervisorConfig,
+};
 use atm_silicon::DriftModel;
-use atm_telemetry::NullRecorder;
-use atm_units::{AtmError, CoreId, MegaHz, Nanos, ProcId};
+use atm_telemetry::{NullRecorder, Recorder};
+use atm_units::{AtmError, CoreId, MegaHz, Nanos, ProcId, CORES_PER_PROC, NUM_PROCS};
 use atm_workloads::{ServiceProfile, Workload};
 
-use crate::degrade::{DegradationPolicy, DegradeAction};
+use crate::degrade::{self, DegradeAction, RollbackCause};
 use crate::histogram::LatencyHistogram;
 
 /// Per-chip serving knobs — the subset of [`ServeConfig`](crate::ServeConfig)
@@ -164,7 +165,8 @@ pub struct ChipSummary {
     pub critical_slo_violations: u64,
     /// p99 latency over every completion (ns).
     pub p99_ns: u64,
-    /// Supervisor/degradation actions applied over the chip's lifetime.
+    /// Supervisor/degradation actions applied over the chip's lifetime
+    /// (adapter re-tightens and regulator moves are not counted).
     pub transitions: u64,
     /// Final quarantined-core count.
     pub quarantined: u32,
@@ -191,6 +193,61 @@ pub struct EpochOutcome {
     pub rejected: Vec<ChipRequest>,
 }
 
+/// One posture transition the epoch body applied, in the order applied:
+/// supervisor ladder steps, then the droop policy's rollbacks and
+/// throttle step-downs, then an adapter re-tighten, then a regulator move.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum EpochAction {
+    /// A supervisor ladder step.
+    Supervisor(SupervisorAction),
+    /// The plain policy rolled `core` back one CPM step, to `reduction`.
+    Rollback {
+        core: CoreId,
+        reduction: usize,
+        cause: RollbackCause,
+    },
+    /// The background tier stepped one rung down after droop alarms on
+    /// `core`.
+    Throttle { core: CoreId },
+    /// The adapter re-tightened a margin.
+    Retighten,
+    /// The regulator committed a throttle or release, leaving `depth`.
+    Cap { action: CapAction, depth: u32 },
+}
+
+impl fmt::Display for EpochAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            EpochAction::Supervisor(SupervisorAction::Rollback { core, steps }) => {
+                write!(f, "supervisor rollback {core} by {steps}")
+            }
+            EpochAction::Supervisor(SupervisorAction::Reprobe { core, steps }) => {
+                write!(f, "supervisor re-probe {core} by {steps}")
+            }
+            EpochAction::Supervisor(SupervisorAction::SafeMode { core }) => {
+                write!(f, "supervisor safe mode {core}")
+            }
+            EpochAction::Supervisor(SupervisorAction::Quarantine { core }) => {
+                write!(f, "supervisor quarantine {core}")
+            }
+            EpochAction::Rollback {
+                core,
+                reduction,
+                cause,
+            } => write!(f, "rollback {core} to reduction {reduction} ({cause})"),
+            EpochAction::Throttle { core } => {
+                write!(f, "background throttle step-down (droop alarms on {core})")
+            }
+            EpochAction::Retighten => f.write_str("adapter re-tighten"),
+            EpochAction::Cap { action, depth } => match action {
+                CapAction::Throttle(n) => write!(f, "cap throttle {n} to depth {depth}"),
+                CapAction::Release(n) => write!(f, "cap release {n} to depth {depth}"),
+                CapAction::Hold => write!(f, "cap hold at depth {depth}"),
+            },
+        }
+    }
+}
+
 /// The regulator's control state: its configuration and its integral and
 /// depth. Part of the [`Machine`], so it rewinds on resurrection.
 #[derive(Debug, Clone)]
@@ -212,12 +269,13 @@ struct CapAccount {
 /// its control ladders and the posture they maintain. Everything else —
 /// queues, histograms, counters, the energy meter, the regulator's
 /// report — is the account, which survives resurrection.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Machine {
     mgr: AtmManager,
     cfg: ChipServeConfig,
-    supervisor: MarginSupervisor,
-    policy: DegradationPolicy,
+    /// The margin-safety ladder (`None` = the plain droop policy owns the
+    /// failure response).
+    supervisor: Option<MarginSupervisor>,
     posture: ServePosture,
     pstates: PStateTable,
     baseline: MegaHz,
@@ -232,41 +290,30 @@ struct Machine {
     cap: Option<CapControl>,
 }
 
-impl Clone for Machine {
-    fn clone(&self) -> Self {
-        Machine {
-            mgr: self.mgr.clone(),
-            cfg: self.cfg.clone(),
-            supervisor: self.supervisor.clone(),
-            policy: self.policy.clone(),
-            posture: self.posture.clone(),
-            pstates: self.pstates.clone(),
-            baseline: self.baseline,
-            core_svc: self.core_svc.clone(),
-            throttle_extra: self.throttle_extra,
-            adapter: self.adapter.clone_box(),
-            drift: self.drift,
-            cap: self.cap.clone(),
-        }
-    }
-}
-
 impl Machine {
-    /// Steps the posture's background throttle further down the ladder
-    /// (mirrors the `ServeSim` response to droop-alarm storms).
-    fn apply_extra_throttle(&mut self) {
-        let Some(mut plan) = self.posture.placement.plan.clone() else {
-            return;
-        };
-        for _ in 0..self.throttle_extra {
-            match plan.step_down(&self.pstates) {
-                Some(next) => plan = next,
-                None => break,
-            }
-        }
-        plan.apply(self.mgr.system_mut());
-        self.posture.placement.plan = Some(plan);
+    /// Re-reads the posture's settled core frequencies and drops the
+    /// settling run's calibration alarms.
+    fn remeasure(&mut self) {
         self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
+        self.mgr.system_mut().drain_events();
+    }
+
+    /// Steps the posture's background throttle `throttle_extra` rungs
+    /// down the ladder (the response to droop-alarm storms) and
+    /// re-measures.
+    fn apply_extra_throttle(&mut self) {
+        if let Some(mut plan) = self.posture.placement.plan.clone() {
+            for _ in 0..self.throttle_extra {
+                match plan.step_down(&self.pstates) {
+                    Some(next) => plan = next,
+                    None => break,
+                }
+            }
+            plan.apply(self.mgr.system_mut());
+            self.posture.placement.plan = Some(plan);
+            self.posture.core_freqs = self.mgr.measure_core_freqs(ProcId::new(0));
+        }
+        self.mgr.system_mut().drain_events();
     }
 }
 
@@ -280,7 +327,13 @@ impl Machine {
 pub struct ChipServer {
     /// What [`ChipServer::resurrect_from`] rewinds.
     machine: Machine,
-    free_at: BTreeMap<CoreId, u64>,
+    /// When each core's queue drains, by flat core index (0 = never
+    /// served).
+    free_at: [u64; NUM_PROCS * CORES_PER_PROC],
+    /// The background cores taking work this epoch, in placement order.
+    live_bg: Vec<CoreId>,
+    /// This epoch's transitions, in the order applied.
+    actions: Vec<EpochAction>,
     crit_hist: LatencyHistogram,
     bg_hist: LatencyHistogram,
     completed: u64,
@@ -328,9 +381,9 @@ impl ChipServerCheckpoint {
 }
 
 /// A deep copy of only the machine half of a [`ChipServer`] — manager,
-/// supervisor ladder, posture, degradation policy, adapter, drift model
-/// and regulator control state — the capsule
-/// [`ChipServer::resurrect_from`] brings a hard-failed chip back from.
+/// supervisor ladder, posture, adapter, drift model and regulator control
+/// state — the capsule [`ChipServer::resurrect_from`] brings a
+/// hard-failed chip back from.
 ///
 /// It leaves out the account (queues, latency histograms, counters,
 /// energy meter, regulator report), which resurrection keeps, so it is
@@ -341,24 +394,38 @@ pub struct MachineCheckpoint {
 }
 
 impl ChipServer {
-    /// Postures a deployed manager for incremental serving.
+    /// Postures a deployed manager for incremental serving, watched by a
+    /// supervisor built from the config's thresholds.
     ///
     /// # Errors
     ///
     /// Returns [`AtmError::InvalidConfig`] if the config fails
     /// [`ChipServeConfig::check`].
-    pub fn new(mut mgr: AtmManager, cfg: ChipServeConfig) -> Result<Self, AtmError> {
+    pub fn new(mgr: AtmManager, cfg: ChipServeConfig) -> Result<Self, AtmError> {
+        let supervisor = MarginSupervisor::new(cfg.supervisor);
+        Self::with_supervisor(mgr, cfg, Some(supervisor), &mut NullRecorder)
+    }
+
+    /// Postures a deployed manager (recording the posture through `rec`)
+    /// and attaches `supervisor`; `None` leaves the failure response to
+    /// the plain droop policy.
+    pub(crate) fn with_supervisor<R: Recorder>(
+        mut mgr: AtmManager,
+        cfg: ChipServeConfig,
+        mut supervisor: Option<MarginSupervisor>,
+        rec: &mut R,
+    ) -> Result<Self, AtmError> {
         cfg.check()?;
         let baseline = mgr.system().config().pstates.nominal().frequency;
         let pstates = mgr.system().config().pstates.clone();
         mgr.system_mut().set_droop_alarm(cfg.droop_alarm);
-        let posture =
-            mgr.serve_posture(&cfg.critical, &cfg.backgrounds, cfg.qos, &mut NullRecorder)?;
+        let posture = mgr.serve_posture(&cfg.critical, &cfg.backgrounds, cfg.qos, rec)?;
         // Posturing settles and trains predictors; the alarms those runs
         // raise are calibration noise, not serving-time events.
         mgr.system_mut().drain_events();
-        let mut supervisor = MarginSupervisor::new(cfg.supervisor);
-        supervisor.attach(mgr.system());
+        if let Some(sup) = supervisor.as_mut() {
+            sup.attach(mgr.system());
+        }
         let core_svc = service_map(&cfg, &posture);
         let cap = cfg.capping.clone().map(|c| CapControl {
             regulator: PowerRegulator::new(c.regulator),
@@ -374,7 +441,6 @@ impl ChipServer {
                 mgr,
                 cfg,
                 supervisor,
-                policy: DegradationPolicy::default(),
                 posture,
                 pstates,
                 baseline,
@@ -384,7 +450,9 @@ impl ChipServer {
                 drift: None,
                 cap,
             },
-            free_at: BTreeMap::new(),
+            free_at: [0; NUM_PROCS * CORES_PER_PROC],
+            live_bg: Vec::new(),
+            actions: Vec::new(),
             crit_hist: LatencyHistogram::new(),
             bg_hist: LatencyHistogram::new(),
             completed: 0,
@@ -427,22 +495,17 @@ impl ChipServer {
         }
     }
 
-    /// The power regulator's account so far, if the chip is capped.
-    #[must_use]
-    pub fn cap_report(&self) -> Option<&CapReport> {
-        self.cap.as_ref().map(|c| &c.report)
-    }
-
     /// The energy meter's account so far, if energy accounting is on.
     #[must_use]
     pub fn energy_report(&self) -> Option<EnergyReport> {
         self.meter.as_ref().map(EnergyMeter::report)
     }
 
-    /// Steps one serving epoch: harvests chip events at the current
-    /// posture (through `faults` when armed), closes a supervisor window,
-    /// applies the degradation responses, and dispatches `requests` —
-    /// which must be sorted by arrival time — onto the per-core queues.
+    /// Steps one serving epoch: runs the epoch body (see the module docs)
+    /// with the harvest through `faults` when armed, then dispatches
+    /// `requests` — which must be sorted by arrival time — onto the
+    /// per-core queues, sampling each service time from the profile of
+    /// the core it lands on.
     ///
     /// The caller (the fleet loop) owns the timeline: requests carry
     /// global timestamps and this chip only ever sees the ones routed to
@@ -457,34 +520,334 @@ impl ChipServer {
         requests: &[ChipRequest],
         faults: Option<&mut dyn FaultHook>,
     ) -> EpochOutcome {
-        if self.dead_since.is_some() {
-            self.epoch += 1;
-            return EpochOutcome {
-                rejected: requests.to_vec(),
-            };
-        }
-        if let Some(drift) = self.machine.drift {
-            self.machine
-                .mgr
-                .system_mut()
-                .apply_drift(&drift, u64::from(self.epoch));
-        }
         // The epoch boundary on the fleet timeline: the first routed
         // arrival. An empty epoch means every queue has drained relative
         // to any later boundary, so the backlog reads zero either way.
         let now = requests.first().map_or(u64::MAX, |r| r.at);
-        self.harvest_and_degrade(faults, now);
-        if self.dead_since.is_some() {
-            // The harvest trial hit a hard chip failure: this epoch's
-            // batch was never dispatched, so it bounces intact.
-            self.epoch += 1;
+        if !self.begin_epoch(faults, &[], now, usize::MAX, &mut NullRecorder) {
             return EpochOutcome {
                 rejected: requests.to_vec(),
             };
         }
+        // The account counts the field responses to chip events, not
+        // adapter or regulator moves.
+        self.transitions += self
+            .actions
+            .iter()
+            .filter(|a| !matches!(a, EpochAction::Retighten | EpochAction::Cap { .. }))
+            .count() as u64;
+        // Lent out for the batch so each request can borrow its core's
+        // workload while the queues are served.
+        let core_svc = std::mem::take(&mut self.machine.core_svc);
         for req in requests {
-            self.dispatch(req);
+            self.dispatch(req, &core_svc);
         }
+        self.machine.core_svc = core_svc;
+        self.end_epoch();
+        EpochOutcome::default()
+    }
+
+    /// Opens an epoch: applies silicon drift, runs a short hardware trial
+    /// (through `faults` when armed) to harvest chip events, adds the
+    /// `injected` failures scheduled for this epoch, and hands the events
+    /// to the supervisor ladder — or, without one, to the plain policy's
+    /// rollback — and the droop policy's throttle. It then re-postures
+    /// when anything changed, runs the adapter against the queues as of
+    /// `now`, lets the regulator actuate, and lists the first `bg_cap`
+    /// postured background cores still powered as this epoch's live
+    /// tier. The transitions it applied are left in
+    /// [`actions`](Self::actions).
+    ///
+    /// Returns whether the chip can serve this epoch. A chip that is dead,
+    /// or hard-fails during the trial, has already closed the epoch.
+    pub(crate) fn begin_epoch<R: Recorder>(
+        &mut self,
+        faults: Option<&mut dyn FaultHook>,
+        injected: &[(u32, FailureEvent)],
+        now: u64,
+        bg_cap: usize,
+        rec: &mut R,
+    ) -> bool {
+        self.actions.clear();
+        if self.dead_since.is_none() {
+            self.control(faults, injected, now, rec);
+        }
+        if self.dead_since.is_some() {
+            self.epoch += 1;
+            return false;
+        }
+        let posture = &self.machine.posture;
+        self.live_bg.clear();
+        self.live_bg.extend(
+            posture
+                .placement
+                .background_cores
+                .iter()
+                .take(bg_cap)
+                .filter(|c| posture.freq_of(**c).get() > 0.0),
+        );
+        true
+    }
+
+    /// The epoch body proper (see [`begin_epoch`](Self::begin_epoch)).
+    fn control<R: Recorder>(
+        &mut self,
+        faults: Option<&mut dyn FaultHook>,
+        injected: &[(u32, FailureEvent)],
+        now: u64,
+        rec: &mut R,
+    ) {
+        let epoch = self.epoch;
+        let m = &mut self.machine;
+        if let Some(drift) = m.drift {
+            m.mgr.system_mut().apply_drift(&drift, u64::from(epoch));
+        }
+        let harvest = match faults {
+            Some(mut hook) => m
+                .mgr
+                .system_mut()
+                .run_faulted(m.cfg.chip_trial, &mut hook, rec),
+            None => m.mgr.system_mut().run(m.cfg.chip_trial, rec),
+        };
+        if harvest
+            .failure
+            .is_some_and(|f| f.kind == FailureKind::ChipHardFail)
+        {
+            // Whole-chip outage: freeze the machine where the abort left
+            // it (the account survives for the final report) and let the
+            // caller's failover (if any) take over.
+            self.dead_since = Some(epoch);
+            m.mgr.system_mut().drain_events();
+            return;
+        }
+        self.measured_mw = (harvest.procs[0].mean_power.get() * 1_000.0).round() as u64;
+        let mut events = m.mgr.system_mut().drain_events();
+        events.extend(
+            injected
+                .iter()
+                .filter(|(e, _)| *e == epoch)
+                .map(|(_, f)| ChipEvent::Failure(*f)),
+        );
+
+        let mut responses = degrade::react(&events, m.posture.placement.critical_core);
+        if let Some(sup) = m.supervisor.as_mut() {
+            // The supervisor owns the failure ladder; the plain policy
+            // keeps the droop-alarm throttle response.
+            responses.retain(|a| matches!(a, DegradeAction::ThrottleDown { .. }));
+            let sup_actions = sup.observe_window(m.mgr.system(), &events);
+            let _ = m.mgr.apply_supervisor_actions(&sup_actions, rec);
+            self.actions
+                .extend(sup_actions.into_iter().map(EpochAction::Supervisor));
+        }
+        let mut rolled_back = !self.actions.is_empty();
+        let mut throttled = false;
+        for response in responses {
+            match response {
+                DegradeAction::Rollback { core, cause } => {
+                    let reduction = m.mgr.rollback_core(core, 1, rec);
+                    rolled_back = true;
+                    self.actions.push(EpochAction::Rollback {
+                        core,
+                        reduction,
+                        cause,
+                    });
+                }
+                DegradeAction::ThrottleDown { core } => {
+                    m.throttle_extra += 1;
+                    throttled = true;
+                    rec.incr("serve.throttle_stepdowns", 1);
+                    self.actions.push(EpochAction::Throttle { core });
+                }
+            }
+        }
+
+        if rolled_back {
+            m.posture = m
+                .mgr
+                .serve_posture(&m.cfg.critical, &m.cfg.backgrounds, m.cfg.qos, rec)
+                .expect("config validated at construction");
+            if m.throttle_extra > 0 {
+                m.apply_extra_throttle();
+            } else {
+                m.mgr.system_mut().drain_events();
+            }
+            m.core_svc = service_map(&m.cfg, &m.posture);
+        } else if throttled {
+            m.apply_extra_throttle();
+        } else if epoch > 0 && epoch.is_multiple_of(m.cfg.refresh_every) {
+            m.remeasure();
+        }
+
+        if m.adapter.enabled() {
+            self.run_adapter(&harvest, now);
+        }
+        self.regulate(rolled_back, rec);
+    }
+
+    /// The regulator's epoch hook: integrate measured power against the
+    /// cap in force, commit or suppress the proposal, and actuate through
+    /// [`AtmManager::apply_cap_levels`] relative to the posture's own
+    /// throttle plan (droop escalations and cap depth compose).
+    ///
+    /// Two suppression rules keep the regulator subordinate:
+    /// a release proposed in the same epoch as a rollback (by the
+    /// supervisor or the plain policy) is vetoed — rollbacks outrank the
+    /// regulator, so a rolled-back core is never re-raised by a cap
+    /// release — and releases are deferred while measured power still
+    /// exceeds the cap.
+    fn regulate<R: Recorder>(&mut self, rolled_back: bool, rec: &mut R) {
+        let measured_mw = self.measured_mw;
+        let m = &mut self.machine;
+        let (Some(ctl), Some(account)) = (m.cap.as_mut(), self.cap.as_mut()) else {
+            return;
+        };
+        let cap_mw = account
+            .override_mw
+            .unwrap_or_else(|| ctl.cfg.budget.cap_at(self.epoch));
+        let action = ctl.regulator.propose(measured_mw, cap_mw, rec);
+        let over_budget = measured_mw > cap_mw;
+        let (committed, suppressed) = match action {
+            CapAction::Release(_) if rolled_back || over_budget => (CapAction::Hold, true),
+            a => (a, false),
+        };
+        ctl.regulator.commit(committed);
+        account.report.count_action(committed, suppressed);
+        let depth = ctl.regulator.depth();
+        account
+            .report
+            .push_epoch(cap_mw, measured_mw, depth, ctl.regulator.integral_mwe());
+        if committed != CapAction::Hold {
+            self.actions.push(EpochAction::Cap {
+                action: committed,
+                depth,
+            });
+        }
+        // Re-apply every epoch the cap binds: re-postures and droop
+        // step-downs reset margin modes, so the depth must be restated on
+        // top of whatever plan is now current.
+        if depth == 0 && committed == CapAction::Hold {
+            return;
+        }
+        let Some(base) = m.posture.placement.plan.clone() else {
+            return;
+        };
+        let bg_depth = depth.min(base.setting.rungs_below(&m.pstates));
+        let critical = m.posture.placement.critical_core;
+        let _ = m
+            .mgr
+            .apply_cap_levels(&base, critical, bg_depth, depth - bg_depth, rec);
+        m.remeasure();
+    }
+
+    /// Runs one epoch of online recharacterization against the harvest
+    /// the degradation ladder just consumed, reading the queues as of
+    /// `now`. Re-measures the posture when the adapter re-tightened
+    /// anything.
+    fn run_adapter(&mut self, harvest: &SystemReport, now: u64) {
+        let m = &mut self.machine;
+        let serving: Vec<CoreId> = m.posture.core_freqs.iter().map(|(c, _)| *c).collect();
+        let critical_core = m.posture.placement.critical_core;
+        let idle: Vec<CoreId> = m
+            .posture
+            .placement
+            .background_cores
+            .iter()
+            .filter(|c| self.free_at[c.flat_index()] <= now)
+            .copied()
+            .collect();
+        let blocked: std::collections::BTreeSet<CoreId> = serving
+            .iter()
+            .filter(|c| {
+                m.supervisor.as_ref().is_some_and(|s| s.on_probation(**c))
+                    || m.mgr.safe_mode_cores().contains(c)
+                    || m.mgr.quarantined_cores().contains(c)
+            })
+            .copied()
+            .collect();
+        let changed = m.adapter.on_epoch(AdaptContext {
+            mgr: &mut m.mgr,
+            harvest,
+            epoch: u64::from(self.epoch),
+            backlog_ns: backlog_sum(&self.free_at, now),
+            serving: &serving,
+            idle: &idle,
+            critical_core,
+            blocked: &blocked,
+        });
+        if changed {
+            m.posture.core_freqs = m.mgr.measure_core_freqs(ProcId::new(0));
+            self.actions.push(EpochAction::Retighten);
+        }
+        m.mgr.system_mut().drain_events();
+    }
+
+    /// This epoch's transitions, in the order applied.
+    pub(crate) fn actions(&self) -> &[EpochAction] {
+        &self.actions
+    }
+
+    /// The critical core and its settled frequency, in whole MHz.
+    pub(crate) fn critical(&self) -> (CoreId, u64) {
+        let posture = &self.machine.posture;
+        let core = posture.placement.critical_core;
+        (core, posture.freq_of(core).get().round() as u64)
+    }
+
+    /// The core a request of this class goes to: the critical core, or
+    /// the live background core with the least backlog (ties to the
+    /// lowest id). `None` when the whole background tier is gated.
+    #[inline]
+    pub(crate) fn target(&self, critical: bool) -> Option<CoreId> {
+        if critical {
+            return Some(self.machine.posture.placement.critical_core);
+        }
+        self.live_bg
+            .iter()
+            .min_by_key(|c| (self.free_at[c.flat_index()], c.flat_index()))
+            .copied()
+    }
+
+    /// Queued work on `core` still ahead of `now`, in ns.
+    #[inline]
+    pub(crate) fn backlog(&self, core: CoreId, now: u64) -> u64 {
+        self.free_at[core.flat_index()].saturating_sub(now)
+    }
+
+    /// Queues one request arriving at `at` on `core`, with its service
+    /// time sampled from `profile` at the core's settled frequency, and
+    /// returns when it finishes. Critical services feed the adapter.
+    #[inline]
+    pub(crate) fn serve(
+        &mut self,
+        core: CoreId,
+        at: u64,
+        draw: f64,
+        critical: bool,
+        (workload, profile): (&Workload, &ServiceProfile),
+    ) -> u64 {
+        let m = &mut self.machine;
+        let freq = m.posture.freq_of(core);
+        let service = profile
+            .sample(workload, freq, m.baseline, draw)
+            .get()
+            .round()
+            .max(1.0) as u64;
+        let slot = core.flat_index();
+        let finish = at.max(self.free_at[slot]) + service;
+        self.free_at[slot] = finish;
+        self.epoch_busy_ns += service;
+        self.epoch_completed += 1;
+        if critical && m.adapter.enabled() {
+            let freq_khz = (freq.get() * 1_000.0).round() as u64;
+            let baseline_khz = (m.baseline.get() * 1_000.0).round() as u64;
+            m.adapter
+                .on_service(workload.name(), freq_khz, baseline_khz, service);
+        }
+        finish
+    }
+
+    /// Closes a live epoch: meters its energy and advances the counter.
+    pub(crate) fn end_epoch(&mut self) {
         if let Some(meter) = self.meter.as_mut() {
             let powered = self
                 .machine
@@ -499,261 +862,32 @@ impl ChipServer {
         self.epoch_busy_ns = 0;
         self.epoch_completed = 0;
         self.epoch += 1;
-        EpochOutcome::default()
     }
 
-    /// The epoch-start chip-in-the-loop body: run a short hardware trial,
-    /// feed the events to the supervisor ladder and the droop policy, and
-    /// re-posture when anything changed.
-    fn harvest_and_degrade(&mut self, faults: Option<&mut dyn FaultHook>, now: u64) {
-        let harvest = match faults {
-            Some(mut hook) => self.machine.mgr.system_mut().run_faulted(
-                self.machine.cfg.chip_trial,
-                &mut hook,
-                &mut NullRecorder,
-            ),
-            None => self
-                .machine
-                .mgr
-                .system_mut()
-                .run(self.machine.cfg.chip_trial, &mut NullRecorder),
-        };
-        if harvest
-            .failure
-            .is_some_and(|f| f.kind == FailureKind::ChipHardFail)
-        {
-            // Whole-chip outage: freeze the machine where the abort left
-            // it (the account survives for the final report) and let the
-            // fleet's failover ladder take over.
-            self.dead_since = Some(self.epoch);
-            self.machine.mgr.system_mut().drain_events();
-            return;
-        }
-        self.measured_mw = (harvest.procs[0].mean_power.get() * 1_000.0).round() as u64;
-        let events = self.machine.mgr.system_mut().drain_events();
-
-        let mut needs_replace = false;
-        let mut throttled = false;
-        let mut actions = self
-            .machine
-            .policy
-            .react(&events, self.machine.posture.placement.critical_core);
-        // The supervisor owns the failure ladder; the plain policy keeps
-        // the droop-alarm throttle response.
-        actions.retain(|a| matches!(a, DegradeAction::ThrottleDown { .. }));
-        let sup_actions = self
-            .machine
-            .supervisor
-            .observe_window(self.machine.mgr.system(), &events);
-        let _ = self
-            .machine
-            .mgr
-            .apply_supervisor_actions(&sup_actions, &mut NullRecorder);
-        if !sup_actions.is_empty() {
-            needs_replace = true;
-            self.transitions += sup_actions.len() as u64;
-        }
-        for action in &actions {
-            if let DegradeAction::ThrottleDown { .. } = action {
-                self.machine.throttle_extra += 1;
-                throttled = true;
-                self.transitions += 1;
-            }
-        }
-
-        if needs_replace {
-            self.machine.posture = self
-                .machine
-                .mgr
-                .serve_posture(
-                    &self.machine.cfg.critical,
-                    &self.machine.cfg.backgrounds,
-                    self.machine.cfg.qos,
-                    &mut NullRecorder,
-                )
-                .expect("config validated in new");
-            if self.machine.throttle_extra > 0 {
-                self.machine.apply_extra_throttle();
-            }
-            self.machine.mgr.system_mut().drain_events();
-            self.machine.core_svc = service_map(&self.machine.cfg, &self.machine.posture);
-        } else if throttled {
-            self.machine.apply_extra_throttle();
-            self.machine.mgr.system_mut().drain_events();
-        } else if self.epoch > 0 && self.epoch.is_multiple_of(self.machine.cfg.refresh_every) {
-            self.machine.posture.core_freqs = self.machine.mgr.measure_core_freqs(ProcId::new(0));
-            self.machine.mgr.system_mut().drain_events();
-        }
-
-        if self.machine.adapter.enabled() {
-            self.run_adapter(&harvest, now);
-        }
-
-        self.regulate(!sup_actions.is_empty());
-    }
-
-    /// The regulator's epoch hook: integrate measured power against the
-    /// cap in force, commit or suppress the proposal, and actuate through
-    /// [`AtmManager::apply_cap_levels`] relative to the posture's own
-    /// throttle plan (droop escalations and cap depth compose).
-    ///
-    /// Two suppression rules keep the regulator subordinate:
-    /// a release proposed in the same epoch as a supervisor action is
-    /// vetoed (rollbacks outrank the regulator, so a rolled-back core is
-    /// never re-raised by a cap release), and releases are deferred while
-    /// measured power still exceeds the cap.
-    fn regulate(&mut self, supervisor_fired: bool) {
-        let measured_mw = self.measured_mw;
-        let epoch = self.epoch;
-        let (Some(ctl), Some(account)) = (self.machine.cap.as_mut(), self.cap.as_mut()) else {
+    /// Serves one routed request into the chip's own account, on the
+    /// profile of the core it lands on.
+    fn dispatch(
+        &mut self,
+        req: &ChipRequest,
+        core_svc: &BTreeMap<CoreId, (Workload, ServiceProfile)>,
+    ) {
+        let Some(core) = self.target(req.critical) else {
+            // Whole background tier gated: nothing can serve it.
+            self.shed += 1;
             return;
         };
-        let cap_mw = account
-            .override_mw
-            .unwrap_or_else(|| ctl.cfg.budget.cap_at(epoch));
-        let action = ctl
-            .regulator
-            .propose(measured_mw, cap_mw, &mut NullRecorder);
-        let over_budget = measured_mw > cap_mw;
-        let (committed, suppressed) = match action {
-            CapAction::Release(_) if supervisor_fired || over_budget => (CapAction::Hold, true),
-            a => (a, false),
-        };
-        ctl.regulator.commit(committed);
-        account.report.count_action(committed, suppressed);
-        let depth = ctl.regulator.depth();
-        account
-            .report
-            .push_epoch(cap_mw, measured_mw, depth, ctl.regulator.integral_mwe());
-        // Re-apply every epoch the cap binds: re-postures and droop
-        // step-downs reset margin modes, so the depth must be restated on
-        // top of whatever plan is now current.
-        if depth == 0 && matches!(committed, CapAction::Hold) {
-            return;
-        }
-        let Some(base) = self.machine.posture.placement.plan.clone() else {
-            return;
-        };
-        let bg_depth = depth.min(base.setting.rungs_below(&self.machine.pstates));
-        let crit_depth = depth - bg_depth;
-        let critical = self.machine.posture.placement.critical_core;
-        let _ = self.machine.mgr.apply_cap_levels(
-            &base,
-            critical,
-            bg_depth,
-            crit_depth,
-            &mut NullRecorder,
-        );
-        self.machine.posture.core_freqs = self.machine.mgr.measure_core_freqs(ProcId::new(0));
-        self.machine.mgr.system_mut().drain_events();
-    }
-
-    /// Runs one epoch of online recharacterization against the harvest
-    /// the degradation ladder just consumed. Re-measures the posture when
-    /// the adapter re-tightened anything.
-    fn run_adapter(&mut self, harvest: &atm_chip::SystemReport, now: u64) {
-        let serving: Vec<CoreId> = self
-            .machine
-            .posture
-            .core_freqs
-            .iter()
-            .map(|(c, _)| *c)
-            .collect();
-        let critical_core = self.machine.posture.placement.critical_core;
-        let idle: Vec<CoreId> = self
-            .machine
-            .posture
-            .placement
-            .background_cores
-            .iter()
-            .filter(|c| self.free_at.get(c).copied().unwrap_or(0) <= now)
-            .copied()
-            .collect();
-        let blocked: std::collections::BTreeSet<CoreId> = serving
-            .iter()
-            .filter(|c| {
-                self.machine.supervisor.on_probation(**c)
-                    || self.machine.mgr.safe_mode_cores().contains(c)
-                    || self.machine.mgr.quarantined_cores().contains(c)
-            })
-            .copied()
-            .collect();
-        let backlog_ns = self
-            .free_at
-            .values()
-            .map(|f| f.saturating_sub(now))
-            .sum::<u64>();
-        let changed = self.machine.adapter.on_epoch(AdaptContext {
-            mgr: &mut self.machine.mgr,
-            harvest,
-            epoch: u64::from(self.epoch),
-            backlog_ns,
-            serving: &serving,
-            idle: &idle,
-            critical_core,
-            blocked: &blocked,
-        });
-        if changed {
-            self.machine.posture.core_freqs = self.machine.mgr.measure_core_freqs(ProcId::new(0));
-        }
-        self.machine.mgr.system_mut().drain_events();
-    }
-
-    /// Serves one request on the posture's queues.
-    fn dispatch(&mut self, req: &ChipRequest) {
-        let core = if req.critical {
-            self.machine.posture.placement.critical_core
-        } else {
-            let live = self
-                .machine
-                .posture
-                .placement
-                .background_cores
-                .iter()
-                .filter(|c| self.machine.posture.freq_of(**c).get() > 0.0)
-                .min_by_key(|c| (self.free_at.get(c).copied().unwrap_or(0), c.flat_index()))
-                .copied();
-            match live {
-                Some(c) => c,
-                None => {
-                    // Whole background tier gated: nothing can serve it.
-                    self.shed += 1;
-                    return;
-                }
-            }
-        };
-        let freq = self.machine.posture.freq_of(core);
-        let (workload, profile) = self.machine.core_svc.get(&core).unwrap_or_else(|| {
-            self.machine
-                .core_svc
-                .first_key_value()
-                .expect("postured cores")
-                .1
-        });
-        let service = profile
-            .sample(workload, freq, self.machine.baseline, req.draw)
-            .get()
-            .round()
-            .max(1.0) as u64;
-        let start = req.at.max(self.free_at.get(&core).copied().unwrap_or(0));
-        let finish = start + service;
-        self.free_at.insert(core, finish);
-        let latency = finish - req.at;
+        let (workload, profile) = core_svc
+            .get(&core)
+            .unwrap_or_else(|| core_svc.first_key_value().expect("postured cores").1);
+        let latency =
+            self.serve(core, req.at, req.draw, req.critical, (workload, profile)) - req.at;
         self.completed += 1;
-        self.epoch_busy_ns += service;
-        self.epoch_completed += 1;
         if req.critical {
             self.crit_hist.record(latency);
             self.critical_completed += 1;
-            if self.machine.cfg.critical_slo_ns > 0 && latency > self.machine.cfg.critical_slo_ns {
+            let slo = self.machine.cfg.critical_slo_ns;
+            if slo > 0 && latency > slo {
                 self.critical_slo_violations += 1;
-            }
-            if self.machine.adapter.enabled() {
-                let freq_khz = (freq.get() * 1_000.0).round() as u64;
-                let baseline_khz = (self.machine.baseline.get() * 1_000.0).round() as u64;
-                self.machine
-                    .adapter
-                    .on_service(workload.name(), freq_khz, baseline_khz, service);
             }
         } else {
             self.bg_hist.record(latency);
@@ -763,9 +897,9 @@ impl ChipServer {
     /// The barrier-time view the fleet router places traffic with.
     #[must_use]
     pub fn snapshot(&self, now: u64) -> ChipSnapshot {
-        let excluded = self.machine.mgr.supervisor_excluded();
-        let fastest = self
-            .machine
+        let m = &self.machine;
+        let excluded = m.mgr.supervisor_excluded();
+        let fastest = m
             .posture
             .core_freqs
             .iter()
@@ -773,21 +907,19 @@ impl ChipServer {
             .map(|(_, f)| f.get().round() as u64)
             .max()
             .unwrap_or(0);
-        let backlog = self
-            .free_at
-            .values()
-            .map(|f| f.saturating_sub(now))
-            .sum::<u64>();
-        let mut min_health = 100;
-        for (core, _) in &self.machine.posture.core_freqs {
-            min_health = min_health.min(self.machine.supervisor.health(*core));
-        }
+        let min_health = m.supervisor.as_ref().map_or(100, |sup| {
+            m.posture
+                .core_freqs
+                .iter()
+                .map(|(core, _)| sup.health(*core))
+                .fold(100, u32::min)
+        });
         ChipSnapshot {
             alive: self.dead_since.is_none(),
             fastest_healthy_mhz: fastest,
-            backlog_ns: backlog,
-            quarantined: self.machine.mgr.quarantined_cores().len() as u32,
-            safe_mode: self.machine.mgr.safe_mode_cores().len() as u32,
+            backlog_ns: backlog_sum(&self.free_at, now),
+            quarantined: m.mgr.quarantined_cores().len() as u32,
+            safe_mode: m.mgr.safe_mode_cores().len() as u32,
             min_health,
         }
     }
@@ -796,18 +928,6 @@ impl ChipServer {
     #[must_use]
     pub fn is_dead(&self) -> bool {
         self.dead_since.is_some()
-    }
-
-    /// The epoch the chip hard-failed, if it is dead.
-    #[must_use]
-    pub fn dead_since(&self) -> Option<u32> {
-        self.dead_since
-    }
-
-    /// The chip's current epoch counter (epochs stepped so far).
-    #[must_use]
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Seals a deep copy of the whole serving state. Restoring it and
@@ -837,11 +957,11 @@ impl ChipServer {
 
     /// Brings a hard-failed chip back from `cp` with failover semantics:
     /// the *machine* rewinds (manager, supervisor ladder, posture,
-    /// degradation policy, adapter's learned state, drift model, regulator
-    /// control state), but the *account* does not — completions, sheds,
-    /// latency histograms, the energy meter and the regulator's report
-    /// keep their cumulative values so exactly-once accounting survives
-    /// the resurrection. Queues come back cold (`free_at` cleared), the
+    /// adapter's learned state, drift model, regulator control state),
+    /// but the *account* does not — completions, sheds, latency
+    /// histograms, the energy meter and the regulator's report keep their
+    /// cumulative values so exactly-once accounting survives the
+    /// resurrection. Queues come back cold (`free_at` cleared), the
     /// per-epoch scratch counters are zeroed, and the epoch counter keeps
     /// the fleet's current position on the timeline.
     ///
@@ -849,7 +969,7 @@ impl ChipServer {
     /// probation window before trusting the chip with critical traffic.
     pub fn resurrect_from(&mut self, cp: &MachineCheckpoint) {
         self.machine = cp.machine.clone();
-        self.free_at.clear();
+        self.free_at = [0; NUM_PROCS * CORES_PER_PROC];
         self.measured_mw = 0;
         self.epoch_busy_ns = 0;
         self.epoch_completed = 0;
@@ -861,12 +981,6 @@ impl ChipServer {
     #[must_use]
     pub fn histograms(&self) -> (&LatencyHistogram, &LatencyHistogram) {
         (&self.crit_hist, &self.bg_hist)
-    }
-
-    /// The supervisor watching this chip.
-    #[must_use]
-    pub fn supervisor(&self) -> &MarginSupervisor {
-        &self.machine.supervisor
     }
 
     /// Closes the chip's account.
@@ -889,6 +1003,12 @@ impl ChipServer {
             energy: self.energy_report(),
         }
     }
+}
+
+/// Queued work past `now` summed over every core (cores that never served
+/// contribute nothing).
+fn backlog_sum(free_at: &[u64], now: u64) -> u64 {
+    free_at.iter().map(|f| f.saturating_sub(now)).sum()
 }
 
 /// Maps each postured core to the workload (and service profile) it
@@ -1026,7 +1146,7 @@ mod tests {
         let mut killer = Killer;
         let out = srv.step_epoch(&batch, Some(&mut killer));
         assert!(srv.is_dead());
-        assert_eq!(srv.dead_since(), Some(1));
+        assert_eq!(srv.dead_since, Some(1));
         assert_eq!(out.rejected, batch, "nothing dispatched on the death epoch");
         assert!(!srv.snapshot(2_000_000).alive);
         // Dead chips keep bouncing until resurrected.
@@ -1080,7 +1200,7 @@ mod tests {
         };
         let before = account(&srv);
         assert!(srv.completed > 0);
-        assert_eq!(srv.cap_report().map(|r| r.epochs), Some(3));
+        assert_eq!(srv.cap.as_ref().map(|c| c.report.epochs), Some(3));
         assert!(srv.energy_report().is_some_and(|e| e.total_pj > 0));
         let capsule_machine = format!("{:#?}", capsule.machine);
         assert_ne!(
@@ -1092,12 +1212,12 @@ mod tests {
         srv.resurrect_from(&capsule);
         assert_eq!(format!("{:#?}", srv.machine), capsule_machine);
         assert_eq!(account(&srv), before, "the account survives untouched");
-        assert!(srv.free_at.is_empty(), "queues come back cold");
+        assert!(srv.free_at.iter().all(|&f| f == 0), "queues come back cold");
         assert_eq!(
             (srv.measured_mw, srv.epoch_busy_ns, srv.epoch_completed),
             (0, 0, 0)
         );
-        assert_eq!(srv.dead_since(), None);
+        assert_eq!(srv.dead_since, None);
     }
 
     #[test]

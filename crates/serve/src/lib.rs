@@ -16,13 +16,13 @@
 //!   requests as backlog grows or the critical p99 approaches its SLO;
 //! * [`LatencyHistogram`] — fixed-bucket (log-linear) latency tracking
 //!   for p50/p95/p99 with bounded memory;
-//! * [`DegradationPolicy`] — the droop-aware field response: chip
-//!   failures and persistent droop alarms trigger CPM rollback, critical
-//!   re-placement, and background throttle step-downs;
-//! * [`ServeSim`] — the epoch loop tying traffic to the chip-in-the-loop
-//!   posture of [`atm_core::AtmManager`];
-//! * [`ChipServer`] — the same epoch body as an externally stepped
-//!   object, the per-chip seam the `atm-fleet` barrier loop drives;
+//! * [`ChipServer`] — the one per-epoch control body: chip-in-the-loop
+//!   harvest, the supervisor ladder or the droop-aware degradation
+//!   policy (CPM rollback, critical re-placement, background throttle
+//!   step-downs), the online adapter and the power regulator, over the
+//!   per-core queues. The `atm-fleet` barrier loop steps one per chip;
+//! * [`ServeSim`] — the single-chip driver: arrivals, admission and
+//!   per-stream accounting around one [`ChipServer`];
 //! * [`ServeReport`] — the all-integer, `Eq`-comparable account
 //!   (determinism is `assert_eq!`-checkable).
 //!
@@ -75,7 +75,6 @@ pub use chipstep::{
     EpochOutcome, MachineCheckpoint,
 };
 pub use config::{ServeConfig, ServeConfigBuilder};
-pub use degrade::{DegradationPolicy, DegradeAction};
 pub use histogram::LatencyHistogram;
 pub use report::{ServeReport, StreamStats, Transition};
 pub use sim::ServeSim;

@@ -1,14 +1,16 @@
 //! The deterministic serving simulator.
 //!
 //! [`ServeSim`] drives the managed ATM stack with open-loop request
-//! traffic: the [`AtmManager`] postures the chip (critical stream on the
-//! fastest core, backgrounds backfilled and throttled to the QoS power
-//! budget), and a discrete-event loop dispatches seeded arrivals onto
-//! per-core FIFO queues whose service rates follow the cores' settled
-//! frequencies. Each epoch the chip simulation runs briefly to harvest
-//! [`ChipEvent`]s; the [`DegradationPolicy`] turns failures and droop
-//! alarms into CPM rollbacks, critical re-placement, and background
-//! throttling, all recorded in the final [`ServeReport`].
+//! traffic. It is a thin driver over one [`ChipServer`], which owns the
+//! chip, its per-core queues and the whole per-epoch control body: the
+//! [`AtmManager`] postures the chip (critical stream on the fastest core,
+//! backgrounds backfilled and throttled to the QoS power budget), each
+//! epoch the chip simulation runs briefly to harvest [`ChipEvent`]s, and
+//! the supervisor (or, without one, the droop policy) turns failures and
+//! droop alarms into CPM rollbacks, critical re-placement, and
+//! background throttling. The driver draws the arrivals, runs admission
+//! and per-stream accounting for each request, and renders the chip's
+//! transitions into the final [`ServeReport`].
 //!
 //! Everything is a pure function of the seeds: each stream's arrivals are
 //! drawn lazily from its own RNG and merged on the fly in
@@ -21,39 +23,41 @@
 //! live background cores are listed once per epoch, each epoch's tail is
 //! read off that epoch's own sorted latencies, and the critical stream's
 //! running p99 is re-read only when it gained samples.
+//!
+//! [`ChipEvent`]: atm_chip::ChipEvent
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
-use atm_adapt::{AdaptContext, Adapter, NullAdapter};
-use atm_capping::{CapAction, CapConfig, CapReport, EnergyMeter, EnergyModel, PowerRegulator};
-use atm_chip::{ChipEvent, FailureEvent, FailureKind, FaultHook, PStateTable};
-use atm_core::{AtmManager, MarginSupervisor, ServePosture, SupervisorAction};
+use atm_adapt::{Adapter, NullAdapter};
+use atm_capping::{CapConfig, EnergyModel};
+use atm_chip::{FailureEvent, FailureKind, FaultHook};
+use atm_core::{AtmManager, MarginSupervisor};
 use atm_silicon::DriftModel;
 use atm_telemetry::{AdmissionDecision, AdmissionVerdict, Recorder, SimTime, TelemetryEvent};
-use atm_units::{AtmError, CoreId, Nanos, ProcId, CORES_PER_PROC, NUM_PROCS};
+use atm_units::{AtmError, CoreId, Nanos, CORES_PER_PROC, NUM_PROCS};
 use atm_workloads::{ServiceProfile, Workload};
 
 use crate::admission::Admission;
 use crate::arrival;
+use crate::chipstep::{ChipServeConfig, ChipServer};
 use crate::config::ServeConfig;
-use crate::degrade::{DegradationPolicy, DegradeAction};
 use crate::histogram::LatencyHistogram;
 use crate::report::{ServeReport, StreamStats, Transition};
 use crate::stream::{StreamClass, StreamSpec};
 
-/// A request awaiting dispatch (fresh or deferred). Ordered by
-/// `(time, stream, seq)` so the pending heap pops deterministically; the
-/// service draw rides along unordered.
-#[derive(Debug, Clone, Copy)]
+/// A request awaiting dispatch (fresh or deferred). Ordered by its
+/// unique `(time, stream, seq)` key first, so the pending heap pops
+/// deterministically; the service draw rides along as raw bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Pending {
     time: u64,
     stream: usize,
     seq: u32,
     defers: u32,
     orig: u64,
-    draw: f64,
+    draw_bits: u64,
 }
 
 impl Pending {
@@ -62,26 +66,8 @@ impl Pending {
     }
 }
 
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other.key().cmp(&self.key())
-    }
-}
-
 /// Running per-stream accounting.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StreamState {
     offered: u64,
     completed: u64,
@@ -95,35 +81,20 @@ struct StreamState {
     epoch_p99: Vec<u64>,
 }
 
-impl StreamState {
-    fn new() -> Self {
-        StreamState {
-            offered: 0,
-            completed: 0,
-            shed: 0,
-            deferred: 0,
-            slo_violations: 0,
-            max_queue_depth: 0,
-            hist: LatencyHistogram::new(),
-            epoch_latencies: Vec::new(),
-            epoch_p99: Vec::new(),
-        }
-    }
-}
-
 /// The serving simulator. Consumed by [`ServeSim::run`].
 pub struct ServeSim {
     mgr: AtmManager,
     cfg: ServeConfig,
     streams: Vec<StreamSpec>,
-    policy: DegradationPolicy,
+    /// The chip's knobs: the serving ones from `cfg` and the streams,
+    /// the cap and the energy model. A supervisor, when attached, is this
+    /// run's own, so the config's supervisor thresholds go unused.
+    chip: ChipServeConfig,
     supervisor: Option<MarginSupervisor>,
     faults: Option<Box<dyn FaultHook>>,
     injected: Vec<(u32, FailureEvent)>,
     adapter: Box<dyn Adapter>,
     drift: Option<DriftModel>,
-    capping: Option<CapConfig>,
-    energy: Option<EnergyModel>,
 }
 
 impl fmt::Debug for ServeSim {
@@ -132,7 +103,7 @@ impl fmt::Debug for ServeSim {
             .field("mgr", &self.mgr)
             .field("cfg", &self.cfg)
             .field("streams", &self.streams)
-            .field("policy", &self.policy)
+            .field("chip", &self.chip)
             .field("supervisor", &self.supervisor)
             .field("faults_armed", &self.faults.as_ref().map(|h| h.armed()))
             .field("injected", &self.injected)
@@ -156,34 +127,43 @@ impl ServeSim {
         streams: Vec<StreamSpec>,
     ) -> Result<Self, AtmError> {
         cfg.check()?;
-        let criticals = streams
-            .iter()
-            .filter(|s| s.class == StreamClass::Critical)
-            .count();
-        if criticals != 1 {
+        let mut criticals = streams.iter().filter(|s| s.class == StreamClass::Critical);
+        let (Some(critical), None) = (criticals.next(), criticals.next()) else {
             return Err(AtmError::invalid_config(
                 "streams",
                 "need exactly one critical stream",
             ));
-        }
-        if streams.len() == criticals {
+        };
+        let backgrounds: Vec<Workload> = streams
+            .iter()
+            .filter(|s| s.class == StreamClass::Background)
+            .map(|s| s.workload.clone())
+            .collect();
+        if backgrounds.is_empty() {
             return Err(AtmError::invalid_config(
                 "streams",
                 "need at least one background stream",
             ));
         }
+        let chip = ChipServeConfig {
+            qos: cfg.qos,
+            droop_alarm: cfg.droop_alarm,
+            chip_trial: cfg.chip_trial,
+            critical_slo_ns: critical.slo_ns,
+            refresh_every: cfg.refresh_every,
+            energy: Some(EnergyModel::standard(cfg.epoch_ns)),
+            ..ChipServeConfig::standard(critical.workload.clone(), backgrounds)
+        };
         Ok(ServeSim {
             mgr,
             cfg,
             streams,
-            policy: DegradationPolicy::default(),
+            chip,
             supervisor: None,
             faults: None,
             injected: Vec::new(),
             adapter: Box::new(NullAdapter),
             drift: None,
-            capping: None,
-            energy: None,
         })
     }
 
@@ -200,7 +180,7 @@ impl ServeSim {
     /// [`CapConfig::check`].
     pub fn set_cap(&mut self, cap: CapConfig) -> Result<(), AtmError> {
         cap.check()?;
-        self.capping = Some(cap);
+        self.chip.capping = Some(cap);
         Ok(())
     }
 
@@ -213,7 +193,7 @@ impl ServeSim {
     /// [`EnergyModel::check`].
     pub fn set_energy_model(&mut self, model: EnergyModel) -> Result<(), AtmError> {
         model.check()?;
-        self.energy = Some(model);
+        self.chip.energy = Some(model);
         Ok(())
     }
 
@@ -234,16 +214,11 @@ impl ServeSim {
         self.drift = Some(drift);
     }
 
-    /// Overrides the degradation policy.
-    pub fn set_policy(&mut self, policy: DegradationPolicy) {
-        self.policy = policy;
-    }
-
     /// Attaches a margin-safety supervisor. Once attached, the supervisor
     /// owns the failure response — its strike ladder (rollback →
     /// backed-off re-probe → safe mode → quarantine) replaces the plain
-    /// policy's per-failure rollback, while the policy keeps handling
-    /// droop-alarm throttle step-downs. Quarantined and safe-moded cores
+    /// droop policy's per-failure rollback, while the policy keeps
+    /// handling droop-alarm throttle step-downs. Quarantined and safe-moded cores
     /// drop out of every subsequent placement, so critical streams are
     /// re-placed automatically.
     pub fn set_supervisor(&mut self, supervisor: MarginSupervisor) {
@@ -252,10 +227,13 @@ impl ServeSim {
 
     /// Arms a chip-level fault hook (e.g. a resolved `atm-faults`
     /// campaign plan) for the per-epoch chip harvests: each epoch's
-    /// hardware trial runs through
-    /// [`System::run_faulted`](atm_chip::System::run_faulted) with this
-    /// hook instead of a clean run. The hook's tick clock spans the whole
-    /// serving trace, so one plan unfolds across epochs deterministically.
+    /// hardware trial runs with this hook instead of a clean run. The
+    /// hook's tick clock spans the whole serving trace, so one plan
+    /// unfolds across epochs deterministically.
+    ///
+    /// A [`ChipHardFail`](atm_chip::FaultAction::ChipHardFail) kills the
+    /// chip for the rest of the run: from the epoch it dies in, every
+    /// request is shed.
     pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
         self.faults = Some(hook);
     }
@@ -280,9 +258,9 @@ impl ServeSim {
     /// are drawn lazily on the calling thread, so it no longer affects
     /// the run — and, as before, never affects the report.
     ///
-    /// Chip harvests, admission verdicts, latencies, rollbacks and
-    /// throttle step-downs record through `rec`, with the recorder clock
-    /// tracking the virtual serving timeline; pass
+    /// The initial posture, chip harvests, admission verdicts, latencies,
+    /// rollbacks and throttle step-downs record through `rec`, with the
+    /// recorder clock tracking the virtual serving timeline; pass
     /// [`&mut NullRecorder`](atm_telemetry::NullRecorder) for the zero-overhead
     /// unrecorded path — the report is identical either way.
     ///
@@ -291,266 +269,66 @@ impl ServeSim {
     /// Panics if `workers` is zero.
     #[must_use]
     pub fn run<R: Recorder>(self, workers: usize, rec: &mut R) -> ServeReport {
-        // Disassemble the simulator up front: the manager needs exclusive
-        // mutable access through the whole trace, so the config and stream
-        // specs move into locals and are borrowed from there — no per-run
-        // clones of the config or the critical spec.
         assert!(workers > 0, "need at least one worker");
         let ServeSim {
-            mut mgr,
+            mgr,
             cfg,
             streams,
-            policy,
-            mut supervisor,
+            chip,
+            supervisor,
             mut faults,
             injected,
-            mut adapter,
+            adapter,
             drift,
-            capping,
-            energy,
         } = self;
-        let proc = ProcId::new(0);
-        let baseline = mgr.system().config().pstates.nominal().frequency;
-        // The p-state table is still owned by the system while `mgr` is
-        // borrowed mutably at every throttle step, so one copy per run.
-        let pstates = mgr.system().config().pstates.clone();
         let horizon = u64::from(cfg.epochs) * cfg.epoch_ns;
 
         let crit_idx = streams
             .iter()
             .position(|s| s.class == StreamClass::Critical)
             .expect("checked in new");
-        let critical_spec = &streams[crit_idx];
-        let backgrounds: Vec<Workload> = streams
-            .iter()
-            .filter(|s| s.class == StreamClass::Background)
-            .map(|s| s.workload.clone())
-            .collect();
+        let crit_slo = streams[crit_idx].slo_ns;
         let profiles: Vec<ServiceProfile> = streams
             .iter()
             .map(|s| s.workload.service_profile())
             .collect();
-        let crit_slo = critical_spec.slo_ns;
 
-        mgr.system_mut().set_droop_alarm(cfg.droop_alarm);
-        let mut posture = mgr
-            .serve_posture(&critical_spec.workload, &backgrounds, cfg.qos, rec)
+        let mut chip = ChipServer::with_supervisor(mgr, chip, supervisor, rec)
             .expect("streams validated in new");
-        // Posturing itself settles and trains predictors; the alarms those
-        // runs raise are calibration noise, not serving-time events.
-        mgr.system_mut().drain_events();
-        if let Some(sup) = supervisor.as_mut() {
-            sup.attach(mgr.system());
+        chip.set_adapter(adapter);
+        if let Some(d) = drift {
+            chip.set_drift(d);
         }
-        let mut throttle_extra: usize = 0;
-        let mut meter =
-            EnergyMeter::new(energy.unwrap_or_else(|| EnergyModel::standard(cfg.epoch_ns)));
-        let mut cap = capping.map(|c| (PowerRegulator::new(c.regulator), c, CapReport::new()));
 
         let mut arrivals = arrival::MergedArrivals::new(&streams, cfg.seed, horizon).peekable();
-        let mut pending: BinaryHeap<Pending> = BinaryHeap::new();
+        // Min-heap of deferred requests.
+        let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
 
-        let mut states: Vec<StreamState> = streams.iter().map(|_| StreamState::new()).collect();
-        // Per core (by flat index): when its queue drains (0 if it never
-        // served), and the finish times still ahead of the clock, in
-        // order.
-        let mut free_at = [0u64; NUM_PROCS * CORES_PER_PROC];
-        let mut finishes: Vec<VecDeque<u64>> = vec![VecDeque::new(); free_at.len()];
+        let mut states: Vec<StreamState> = streams.iter().map(|_| StreamState::default()).collect();
+        // Per core (by flat index): the finish times still ahead of the
+        // clock, in order — the queue depth each dispatch sees.
+        let mut finishes: Vec<VecDeque<u64>> = vec![VecDeque::new(); NUM_PROCS * CORES_PER_PROC];
         // The critical stream's running p99, as of the sample count it
         // was read at.
         let mut crit_p99 = (0u64, 0u64);
         let bg_cap = cfg
             .serving_cores
             .map_or(usize::MAX, |n| (n as usize).saturating_sub(1));
-        let mut live_bg: Vec<CoreId> = Vec::new();
         let mut transitions: Vec<Transition> = Vec::new();
-        let mut action_texts: Vec<String> = Vec::new();
 
         for epoch in 0..cfg.epochs {
             let epoch_start = u64::from(epoch) * cfg.epoch_ns;
             let epoch_end = u64::from(epoch + 1) * cfg.epoch_ns;
 
-            if let Some(d) = drift {
-                mgr.system_mut().apply_drift(&d, u64::from(epoch));
-            }
-
-            // Harvest chip events at the current posture, plus injections.
-            let harvest = match faults.as_deref_mut() {
-                Some(mut hook) => mgr.system_mut().run_faulted(cfg.chip_trial, &mut hook, rec),
-                None => mgr.system_mut().run(cfg.chip_trial, rec),
-            };
-            let measured_mw = (harvest.procs[0].mean_power.get() * 1_000.0).round() as u64;
-            let mut events = mgr.system_mut().drain_events();
-            for (e, f) in &injected {
-                if *e == epoch {
-                    events.push(ChipEvent::Failure(*f));
-                }
-            }
-
-            let mut needs_replace = false;
-            let mut throttled = false;
-            let mut rollback_fired = false;
-            let mut epoch_busy_ns: u64 = 0;
-            let mut epoch_completed: u64 = 0;
-
-            // The supervisor (when attached) owns the failure ladder; the
-            // plain policy keeps the droop-alarm throttle response.
-            let mut actions = policy.react(&events, posture.placement.critical_core);
-            if let Some(sup) = supervisor.as_mut() {
-                actions.retain(|a| matches!(a, DegradeAction::ThrottleDown { .. }));
-                let sup_actions = sup.observe_window(mgr.system(), &events);
-                let _ = mgr.apply_supervisor_actions(&sup_actions, rec);
-                if !sup_actions.is_empty() {
-                    needs_replace = true;
-                    rollback_fired = true;
-                }
-                for a in &sup_actions {
-                    action_texts.push(match a {
-                        SupervisorAction::Rollback { core, steps } => {
-                            format!("supervisor rollback {core} by {steps}")
-                        }
-                        SupervisorAction::Reprobe { core, steps } => {
-                            format!("supervisor re-probe {core} by {steps}")
-                        }
-                        SupervisorAction::SafeMode { core } => {
-                            format!("supervisor safe mode {core}")
-                        }
-                        SupervisorAction::Quarantine { core } => {
-                            format!("supervisor quarantine {core}")
-                        }
-                    });
-                }
-            }
-            for action in &actions {
-                match action {
-                    DegradeAction::Rollback { core, cause } => {
-                        let red = mgr.rollback_core(*core, 1, rec);
-                        needs_replace = true;
-                        rollback_fired = true;
-                        action_texts.push(format!("rollback {core} to reduction {red} ({cause})"));
-                    }
-                    DegradeAction::ThrottleDown { core } => {
-                        throttle_extra += 1;
-                        throttled = true;
-                        rec.incr("serve.throttle_stepdowns", 1);
-                        action_texts.push(format!(
-                            "background throttle step-down (droop alarms on {core})"
-                        ));
-                    }
-                }
-            }
-
-            if needs_replace {
-                posture = mgr
-                    .serve_posture(&critical_spec.workload, &backgrounds, cfg.qos, rec)
-                    .expect("streams validated in new");
-                if throttle_extra > 0 {
-                    apply_extra_throttle(&mut mgr, &mut posture, throttle_extra, &pstates, proc);
-                }
-                mgr.system_mut().drain_events();
-            } else if throttled {
-                apply_extra_throttle(&mut mgr, &mut posture, throttle_extra, &pstates, proc);
-                mgr.system_mut().drain_events();
-            } else if epoch > 0 && epoch % cfg.refresh_every == 0 {
-                posture.core_freqs = mgr.measure_core_freqs(proc);
-                mgr.system_mut().drain_events();
-            }
-
-            if adapter.enabled() {
-                let serving: Vec<CoreId> = posture.core_freqs.iter().map(|(c, _)| *c).collect();
-                let idle: Vec<CoreId> = posture
-                    .placement
-                    .background_cores
-                    .iter()
-                    .filter(|c| free_at[c.flat_index()] <= epoch_start)
-                    .copied()
-                    .collect();
-                let blocked: std::collections::BTreeSet<CoreId> = serving
-                    .iter()
-                    .filter(|c| {
-                        supervisor.as_ref().is_some_and(|s| s.on_probation(**c))
-                            || mgr.safe_mode_cores().contains(c)
-                            || mgr.quarantined_cores().contains(c)
-                    })
-                    .copied()
-                    .collect();
-                let backlog_ns = free_at
-                    .iter()
-                    .map(|f| f.saturating_sub(epoch_start))
-                    .sum::<u64>();
-                let changed = adapter.on_epoch(AdaptContext {
-                    mgr: &mut mgr,
-                    harvest: &harvest,
-                    epoch: u64::from(epoch),
-                    backlog_ns,
-                    serving: &serving,
-                    idle: &idle,
-                    critical_core: posture.placement.critical_core,
-                    blocked: &blocked,
-                });
-                if changed {
-                    posture.core_freqs = mgr.measure_core_freqs(proc);
-                    action_texts.push(String::from("adapter re-tighten"));
-                }
-                mgr.system_mut().drain_events();
-            }
-
-            // The power regulator gets the last word on margin modes:
-            // integrate this epoch's measured power against the cap in
-            // force, commit or suppress the proposal (rollbacks outrank,
-            // releases wait until the chip is back under budget), and
-            // restate the committed depth on top of whatever throttle
-            // plan the droop ladder left current.
-            if let Some((regulator, cap_cfg, cap_report)) = cap.as_mut() {
-                let cap_mw = cap_cfg.budget.cap_at(epoch);
-                let action = regulator.propose(measured_mw, cap_mw, rec);
-                let over_budget = measured_mw > cap_mw;
-                let (committed, suppressed) = match action {
-                    CapAction::Release(_) if rollback_fired || over_budget => {
-                        (CapAction::Hold, true)
-                    }
-                    a => (a, false),
-                };
-                regulator.commit(committed);
-                cap_report.count_action(committed, suppressed);
-                let depth = regulator.depth();
-                cap_report.push_epoch(cap_mw, measured_mw, depth, regulator.integral_mwe());
-                match committed {
-                    CapAction::Throttle(n) => {
-                        action_texts.push(format!("cap throttle {n} to depth {depth}"));
-                    }
-                    CapAction::Release(n) => {
-                        action_texts.push(format!("cap release {n} to depth {depth}"));
-                    }
-                    CapAction::Hold => {}
-                }
-                if depth > 0 || !matches!(committed, CapAction::Hold) {
-                    if let Some(base) = posture.placement.plan.clone() {
-                        let bg_depth = depth.min(base.setting.rungs_below(&pstates));
-                        let crit_depth = depth - bg_depth;
-                        let _ = mgr.apply_cap_levels(
-                            &base,
-                            posture.placement.critical_core,
-                            bg_depth,
-                            crit_depth,
-                            rec,
-                        );
-                        posture.core_freqs = mgr.measure_core_freqs(proc);
-                        mgr.system_mut().drain_events();
-                    }
-                }
-            }
-            for text in action_texts.drain(..) {
-                transitions.push(Transition {
-                    epoch,
-                    action: text,
-                    critical_core: posture.placement.critical_core,
-                    critical_freq_mhz: posture
-                        .freq_of(posture.placement.critical_core)
-                        .get()
-                        .round() as u64,
-                });
-            }
+            let hook = faults.as_deref_mut().map(|h| h as &mut dyn FaultHook);
+            let alive = chip.begin_epoch(hook, &injected, epoch_start, bg_cap, rec);
+            let (critical_core, critical_freq_mhz) = chip.critical();
+            transitions.extend(chip.actions().iter().map(|a| Transition {
+                epoch,
+                action: a.to_string(),
+                critical_core,
+                critical_freq_mhz,
+            }));
 
             let crit_count = states[crit_idx].hist.count();
             let critical_at_risk = crit_slo > 0 && crit_count >= 20 && {
@@ -560,23 +338,11 @@ impl ServeSim {
                 crit_p99.1 as f64 > cfg.admission.slo_risk * crit_slo as f64
             };
 
-            // The background cores that can take work this epoch: the
-            // posture holds still while the epoch's requests dispatch.
-            live_bg.clear();
-            live_bg.extend(
-                posture
-                    .placement
-                    .background_cores
-                    .iter()
-                    .take(bg_cap)
-                    .filter(|c| posture.freq_of(**c).get() > 0.0),
-            );
-
             // Dispatch this epoch's arrivals and readmissions in
             // (time, stream, seq) order.
             loop {
                 let arr_key = arrivals.peek().map(arrival::Request::key);
-                let use_pending = match (arr_key, pending.peek().map(Pending::key)) {
+                let use_pending = match (arr_key, pending.peek().map(|p| p.0.key())) {
                     (Some(a), Some(p)) => p < a,
                     (None, Some(_)) => true,
                     (Some(_), None) => false,
@@ -584,10 +350,10 @@ impl ServeSim {
                 };
                 // If the earlier of the two is past the epoch, both are.
                 let req = if use_pending {
-                    if pending.peek().expect("peeked").time >= epoch_end {
+                    if pending.peek().expect("peeked").0.time >= epoch_end {
                         break;
                     }
-                    pending.pop().expect("peeked")
+                    pending.pop().expect("peeked").0
                 } else {
                     if arr_key.expect("peeked").0 >= epoch_end {
                         break;
@@ -599,7 +365,7 @@ impl ServeSim {
                         seq: a.seq,
                         defers: 0,
                         orig: a.time,
-                        draw: a.draw,
+                        draw_bits: a.draw.to_bits(),
                     }
                 };
 
@@ -612,28 +378,16 @@ impl ServeSim {
                 rec.advance_to(SimTime::from_nanos(now));
 
                 // Target core: critical pinned; background to the live
-                // core with the least backlog (ties to the lowest id).
-                let core = match spec.class {
-                    StreamClass::Critical => posture.placement.critical_core,
-                    StreamClass::Background => {
-                        let live = live_bg
-                            .iter()
-                            .min_by_key(|c| (free_at[c.flat_index()], c.flat_index()))
-                            .copied();
-                        match live {
-                            Some(c) => c,
-                            None => {
-                                // Whole background tier gated: nothing can
-                                // serve this request.
-                                state.shed += 1;
-                                rec.incr("serve.shed", 1);
-                                continue;
-                            }
-                        }
-                    }
+                // core with the least backlog. A dead chip, or a fully
+                // gated background tier, serves nothing.
+                let critical = spec.class == StreamClass::Critical;
+                let target = if alive { chip.target(critical) } else { None };
+                let Some(core) = target else {
+                    state.shed += 1;
+                    rec.incr("serve.shed", 1);
+                    continue;
                 };
-                let slot = core.flat_index();
-                let backlog = free_at[slot].saturating_sub(now);
+                let backlog = chip.backlog(core, now);
                 let verdict =
                     cfg.admission
                         .decide(spec.class, backlog, req.defers, critical_at_risk);
@@ -641,7 +395,7 @@ impl ServeSim {
                     rec.record(TelemetryEvent::Admission(AdmissionDecision {
                         t: rec.now(),
                         stream: req.stream as u32,
-                        critical: spec.class == StreamClass::Critical,
+                        critical,
                         verdict: match verdict {
                             Admission::Accept => AdmissionVerdict::Accept,
                             Admission::Defer => AdmissionVerdict::Defer,
@@ -666,7 +420,7 @@ impl ServeSim {
                             state.shed += 1;
                             rec.incr("serve.shed", 1);
                         } else {
-                            pending.push(d);
+                            pending.push(Reverse(d));
                         }
                         continue;
                     }
@@ -675,19 +429,13 @@ impl ServeSim {
                     }
                 }
 
-                let freq = posture.freq_of(core);
-                let service = profiles[req.stream]
-                    .sample(&spec.workload, freq, baseline, req.draw)
-                    .get()
-                    .round()
-                    .max(1.0) as u64;
-                let start = now.max(free_at[slot]);
-                let finish = start + service;
-                free_at[slot] = finish;
+                let svc = (&spec.workload, &profiles[req.stream]);
+                let draw = f64::from_bits(req.draw_bits);
+                let finish = chip.serve(core, now, draw, critical, svc);
                 // A core's finishes only grow (each starts at or after
                 // the previous one), so the ones behind the clock are a
                 // prefix of its queue.
-                let fin = &mut finishes[slot];
+                let fin = &mut finishes[core.flat_index()];
                 while fin.front().is_some_and(|&f| f <= now) {
                     fin.pop_front();
                 }
@@ -696,29 +444,17 @@ impl ServeSim {
                 state.max_queue_depth = state.max_queue_depth.max(fin.len() as u64);
 
                 let latency = finish - req.orig;
-                if adapter.enabled() && spec.class == StreamClass::Critical {
-                    let freq_khz = (freq.get() * 1_000.0).round() as u64;
-                    let baseline_khz = (baseline.get() * 1_000.0).round() as u64;
-                    adapter.on_service(spec.workload.name(), freq_khz, baseline_khz, service);
-                }
                 rec.observe("serve.latency_ns", latency);
                 state.hist.record(latency);
                 state.epoch_latencies.push(latency);
                 state.completed += 1;
-                epoch_busy_ns += service;
-                epoch_completed += 1;
                 if spec.slo_ns > 0 && latency > spec.slo_ns {
                     state.slo_violations += 1;
                 }
             }
-
-            let powered = posture
-                .core_freqs
-                .iter()
-                .filter(|(_, f)| f.get() > 0.0)
-                .count() as u32;
-            meter.observe_epoch(measured_mw, powered, epoch_busy_ns);
-            meter.add_requests(epoch_completed);
+            if alive {
+                chip.end_epoch();
+            }
 
             for state in &mut states {
                 state.epoch_latencies.sort_unstable();
@@ -731,7 +467,7 @@ impl ServeSim {
         }
 
         // Anything still deferred past the horizon was never served.
-        for p in pending.into_vec() {
+        for Reverse(p) in pending.into_vec() {
             states[p.stream].shed += 1;
             rec.incr("serve.shed", 1);
         }
@@ -757,6 +493,7 @@ impl ServeSim {
                 epoch_p99_ns: st.epoch_p99,
             })
             .collect();
+        let summary = chip.summary();
         ServeReport {
             seed: cfg.seed,
             epochs: cfg.epochs,
@@ -764,37 +501,14 @@ impl ServeSim {
             completed: streams.iter().map(|s| s.completed).sum(),
             shed: streams.iter().map(|s| s.shed).sum(),
             deferred: streams.iter().map(|s| s.deferred).sum(),
-            critical_core: posture.placement.critical_core,
+            critical_core: chip.critical().0,
             transitions,
             streams,
-            adapt: adapter.report(),
-            energy: meter.report(),
-            cap: cap.map(|(_, _, report)| report),
+            adapt: chip.adapt_report(),
+            energy: summary.energy.expect("a serving run always meters energy"),
+            cap: summary.cap,
         }
     }
-}
-
-/// Steps the posture's background throttle `extra` rungs further down
-/// the ladder, applies it, and re-measures the settled frequencies.
-fn apply_extra_throttle(
-    mgr: &mut AtmManager,
-    posture: &mut ServePosture,
-    extra: usize,
-    pstates: &PStateTable,
-    proc: ProcId,
-) {
-    let Some(mut plan) = posture.placement.plan.clone() else {
-        return;
-    };
-    for _ in 0..extra {
-        match plan.step_down(pstates) {
-            Some(next) => plan = next,
-            None => break,
-        }
-    }
-    plan.apply(mgr.system_mut());
-    posture.placement.plan = Some(plan);
-    posture.core_freqs = mgr.measure_core_freqs(proc);
 }
 
 #[cfg(test)]

@@ -1,25 +1,11 @@
 # Common development tasks. `just ci` is the gate PRs must pass.
 
-# Formatting + release build (incl. examples and benches) + every
-# crate's tests (the facade's among them) + the benchmark's own tests +
-# bench smoke + warning-free
-# workspace clippy over all targets + warning-free rustdoc (mirrors
-# ci.sh).
+# The CI gate: runs `ci.sh`, the one gate list (formatting, release
+# build incl. examples and benches, every crate's tests, the benchmark's
+# own tests, bench smoke, warning-free clippy and rustdoc, and the smoke
+# runs below).
 ci:
-    cargo fmt --check
-    cargo build --release
-    cargo build --release --examples
-    cargo build --release --benches
-    cargo test --workspace -q
-    cargo test --release --manifest-path perfbench/Cargo.toml
-    cargo bench -p atm-bench --bench simperf -- --test
-    cargo clippy --workspace --all-targets -- -D warnings
-    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-    just chaos
-    just fleet
-    just adapt
-    just capping
-    just recover
+    ./ci.sh
 
 # Fault-injection sweep: every standard plan (droop-storm,
 # sensor-chaos, actuator-flap) replayed under three seeds. Each run

@@ -6,14 +6,16 @@
 //!   counts (parallelism only pre-generates per-stream traces).
 //! * **Degradation** — an injected timing failure mid-run triggers CPM
 //!   rollback and critical re-placement, and the critical stream's p99
-//!   returns below its SLO in steady state after the recovery.
+//!   returns below its SLO in steady state after the recovery; a chip
+//!   that hard-fails serves nothing more, and every stream's books still
+//!   balance.
 
-use power_atm::chip::{ChipConfig, FailureKind, System};
+use power_atm::chip::{ChipConfig, FailureKind, FaultAction, FaultHook, System};
 use power_atm::core::charact::CharactConfig;
 use power_atm::core::{AtmManager, Governor};
 use power_atm::serve::{ArrivalPattern, ServeConfig, ServeReport, ServeSim, StreamSpec};
 use power_atm::telemetry::NullRecorder;
-use power_atm::units::CoreId;
+use power_atm::units::{CoreId, Nanos};
 use power_atm::workloads::by_name;
 
 const SEED: u64 = 42;
@@ -237,4 +239,78 @@ fn failures_on_background_cores_leave_the_critical_core_alone() {
         .any(|t| t.epoch == 2 && t.action.contains("rollback")));
     // The critical stream still meets its SLO.
     assert!(report.critical().slo_met());
+}
+
+/// Hard-fails the whole chip on the first tick of harvest trial `at`
+/// (one trial per serving epoch, counted from 0).
+struct KillOnTrial {
+    at: u32,
+    trials: u32,
+}
+
+impl FaultHook for KillOnTrial {
+    fn armed(&self) -> bool {
+        true
+    }
+
+    fn on_trial_start(&mut self) {
+        self.trials += 1;
+    }
+
+    fn on_tick(&mut self, _now: Nanos, tick: u64, out: &mut Vec<FaultAction>) {
+        if self.trials == self.at + 1 && tick == 0 {
+            out.push(FaultAction::ChipHardFail {
+                core: CoreId::new(0, 0),
+            });
+        }
+    }
+}
+
+#[test]
+fn hard_failed_chip_sheds_every_request_from_the_epoch_it_dies() {
+    const DEATH_EPOCH: u32 = 4;
+    let build = || {
+        let mut s = sim(SEED);
+        s.set_fault_hook(Box::new(KillOnTrial {
+            at: DEATH_EPOCH,
+            trials: 0,
+        }));
+        s
+    };
+    let clean = run(SEED, 1);
+    let report = build().run(1, &mut NullRecorder);
+
+    let death = DEATH_EPOCH as usize;
+    for (stream, clean_stream) in report.streams.iter().zip(&clean.streams) {
+        // Every offered request was either served or shed.
+        assert_eq!(
+            stream.offered,
+            stream.completed + stream.shed,
+            "{}: books must balance",
+            stream.name
+        );
+        assert_eq!(stream.offered, clean_stream.offered, "{}", stream.name);
+        // Until the death the run is the clean run; from it on nothing
+        // completes.
+        assert_eq!(
+            stream.epoch_p99_ns[..death],
+            clean_stream.epoch_p99_ns[..death],
+            "{}",
+            stream.name
+        );
+        assert!(
+            stream.epoch_p99_ns[death..].iter().all(|&p| p == 0),
+            "{}: served after the chip died: {:?}",
+            stream.name,
+            stream.epoch_p99_ns
+        );
+    }
+    assert!(report.completed > 0, "the chip served before it died");
+    assert!(report.completed < clean.completed);
+    assert!(report.shed > clean.shed);
+    assert!(report.transitions.iter().all(|t| t.epoch < DEATH_EPOCH));
+    // The dead chip is metered no further.
+    assert_eq!(report.energy.epochs, DEATH_EPOCH);
+    assert_eq!(report.energy.requests, report.completed);
+    assert_eq!(report, build().run(4, &mut NullRecorder));
 }

@@ -6,8 +6,11 @@
 //! ([`ServeReport`](power_atm::serve::ServeReport)) must be byte-identical
 //! whether driven through a [`NullRecorder`] or a [`RingRecorder`].
 
+use power_atm::core::SupervisorConfig;
+use power_atm::experiments::perfref::serve_brownout_sim;
+use power_atm::faults::{droop_storm, CampaignHook};
 use power_atm::prelude::*;
-use power_atm::serve::{ArrivalPattern, ServeReport};
+use power_atm::serve::ArrivalPattern;
 use power_atm::telemetry::NullRecorder;
 use power_atm::telemetry::{SimTime, TelemetryEvent};
 use power_atm::workloads::realistic_set;
@@ -134,7 +137,8 @@ fn characterization_is_identical_under_null_and_ring_recorders() {
     assert!(rec.counter("charact.trials").unwrap_or(0) > 0);
 }
 
-fn serve_report<R: Recorder>(rec: &mut R) -> ServeReport {
+/// A short uncapped serving run over a quick-deployed chip.
+fn plain_sim() -> ServeSim {
     let sys = System::new(ChipConfig::power7_plus(SEED));
     let mgr = AtmManager::deploy(sys, Governor::Default, &CharactConfig::quick());
     let streams = vec![
@@ -158,31 +162,60 @@ fn serve_report<R: Recorder>(rec: &mut R) -> ServeReport {
         .chip_trial(Nanos::new(1_000.0))
         .build()
         .expect("valid config");
-    ServeSim::new(mgr, cfg, streams)
-        .expect("valid serving setup")
-        .run(2, rec)
+    ServeSim::new(mgr, cfg, streams).expect("valid serving setup")
+}
+
+/// The capped brownout run (drift and the online adapter closed) with a
+/// supervisor attached and a droop storm raging through its harvests:
+/// every stage of the epoch body acts and records.
+fn stormy_brownout_sim() -> ServeSim {
+    let mut sim = serve_brownout_sim(SEED);
+    sim.set_supervisor(MarginSupervisor::new(SupervisorConfig::default()));
+    sim.set_fault_hook(Box::new(CampaignHook::resolve(&droop_storm(), SEED, 0)));
+    sim
 }
 
 #[test]
 fn serving_is_identical_under_null_and_ring_recorders() {
-    let plain = serve_report(&mut NullRecorder);
-    let mut rec = RingRecorder::with_capacity(4096);
-    let ringed = serve_report(&mut rec);
+    for (name, build) in [
+        ("plain", plain_sim as fn() -> ServeSim),
+        ("stormy brownout", stormy_brownout_sim),
+    ] {
+        let plain = build().run(2, &mut NullRecorder);
+        let mut rec = RingRecorder::with_capacity(4096);
+        let ringed = build().run(2, &mut rec);
 
-    assert_eq!(plain, ringed, "recording must not perturb the serve report");
-    assert!(plain.completed > 0, "the run must actually serve traffic");
+        assert_eq!(
+            plain, ringed,
+            "{name}: recording must not perturb the serve report"
+        );
+        assert!(plain.completed > 0, "{name}: the run must serve traffic");
 
-    // The recorder saw the traffic the report accounts for.
-    let accepted = rec.counter("serve.accepted").unwrap_or(0);
-    assert_eq!(accepted, ringed.completed);
-    let shed = rec.counter("serve.shed").unwrap_or(0);
-    assert_eq!(shed, ringed.shed);
-    let hist = rec
-        .histogram("serve.latency_ns")
-        .expect("latency histogram");
-    assert_eq!(hist.count(), ringed.completed);
-    // The clock followed the virtual serving timeline into the last epoch.
-    assert!(rec.now().nanos() > 600_000_000);
+        // The recorder saw the traffic the report accounts for.
+        let accepted = rec.counter("serve.accepted").unwrap_or(0);
+        assert_eq!(accepted, ringed.completed, "{name}");
+        let shed = rec.counter("serve.shed").unwrap_or(0);
+        assert_eq!(shed, ringed.shed, "{name}");
+        let hist = rec
+            .histogram("serve.latency_ns")
+            .expect("latency histogram");
+        assert_eq!(hist.count(), ringed.completed, "{name}");
+        // The clock followed the virtual serving timeline into the last
+        // epoch.
+        let last_epoch = u64::from(ringed.epochs - 1) * ringed.epoch_ns;
+        assert!(rec.now().nanos() > last_epoch, "{name}");
+        // The epoch body recorded its chip harvests through the same
+        // recorder: the last epoch's harvest runs on the clock the
+        // previous epoch's traffic left, and its CPM readouts are in the
+        // ring.
+        let prev_epoch = last_epoch - ringed.epoch_ns;
+        assert!(
+            rec.events()
+                .iter()
+                .any(|e| matches!(e, TelemetryEvent::Cpm(_)) && e.time().nanos() > prev_epoch),
+            "{name}: no harvest telemetry in the ring"
+        );
+    }
 }
 
 #[test]
