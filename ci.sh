@@ -11,7 +11,9 @@ cargo build --release --examples
 cargo build --release --benches
 cargo test --workspace -q
 # The benchmark's own contract and mechanism tests (its own workspace).
-cargo test --release --manifest-path perfbench/Cargo.toml
+# `--locked`: a facade dependency change fails here instead of silently
+# rewriting the tracked perfbench/Cargo.lock.
+cargo test --release --locked --manifest-path perfbench/Cargo.toml
 # Smoke the perf harness end to end (tiny spans, no JSON update).
 cargo bench -p atm-bench --bench simperf -- --test
 cargo clippy --workspace --all-targets -- -D warnings

@@ -9,11 +9,9 @@
 //! noise of `serving`; and with a binding steady power cap — the
 //! `capping_epoch` row prices the regulated epoch loop, integral
 //! controller plus throttle-ladder actuation included),
-//! chips-simulated-per-wall-second on sharded fleets of 16/64/256
-//! chips, and sealed-checkpoints-per-wall-second on a mid-run fleet —
-//! the `recovery_checkpoint` row prices one full clone/digest/verify/
-//! thaw cycle of the recovery machinery — then writes every row into
-//! `BENCH_simperf.json` at the repo root.
+//! and chips-simulated-per-wall-second on sharded fleets of 16/64/256
+//! chips, then writes every row into `BENCH_simperf.json` at the repo
+//! root.
 //!
 //! The file is stateful across runs: the `before` column is preserved
 //! from the first capture (taken on the tree *before* the tick-loop
@@ -35,7 +33,6 @@ use atm_core::charact::CharactConfig;
 use atm_core::stress::stress_test_deploy;
 use atm_core::{AtmManager, Governor};
 use atm_fleet::{FleetConfig, FleetSim};
-use atm_recovery::Snapshot;
 use atm_serve::{ArrivalPattern, ServeConfig, ServeSim, StreamSpec};
 use atm_telemetry::NullRecorder;
 use atm_units::Nanos;
@@ -214,32 +211,6 @@ fn fleet_chips_per_wall_s(chips: u32, smoke: bool) -> f64 {
     f64::from(chips) / wall
 }
 
-/// Sealed-checkpoint cycles per wall-second on a quick fleet paused at
-/// its mid-run epoch: each cycle clones the whole managed state, seals
-/// it under the FNV-1a digest, re-verifies the seal and thaws it back —
-/// the complete round trip the failover ladder and the bisection driver
-/// pay per checkpoint.
-fn recovery_checkpoints_per_wall_s(smoke: bool) -> f64 {
-    let mut cfg = FleetConfig::quick(BENCH_SEED);
-    if smoke {
-        cfg = cfg.with_chips(4).with_epochs(2);
-    }
-    let mid = cfg.epochs / 2;
-    let mut run = FleetSim::new(cfg).expect("valid fleet").start(2);
-    while run.epoch() < mid {
-        run.step_epoch(2);
-    }
-    let cycles = if smoke { 2 } else { 50 };
-    let t0 = Instant::now();
-    for _ in 0..cycles {
-        let sealed = Snapshot::seal(run.checkpoint());
-        let thawed = sealed.state().expect("a fresh seal verifies").thaw();
-        assert_eq!(thawed.epoch(), run.epoch(), "thawed at the wrong epoch");
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    f64::from(cycles) / wall
-}
-
 /// One before/after row of `BENCH_simperf.json`.
 struct Row {
     name: &'static str,
@@ -310,8 +281,6 @@ fn main() {
     eprintln!("adapt_overhead (explicit NullAdapter): {adapt_overhead:.0} req/wall-s");
     eprintln!("energy_accounting_overhead (explicit EnergyModel): {energy_overhead:.0} req/wall-s");
     eprintln!("capping_epoch (steady {CAP_MW} mW cap): {capping_epoch:.0} req/wall-s");
-    let recovery_checkpoint = recovery_checkpoints_per_wall_s(smoke);
-    eprintln!("recovery_checkpoint (seal + verify + thaw): {recovery_checkpoint:.1} cycles/wall-s");
     let fleet_sizes: &[u32] = if smoke {
         &FLEET_SIZES[..1]
     } else {
@@ -363,15 +332,6 @@ fn main() {
             name: "capping_epoch",
             metric: "req_per_wall_s",
             after: capping_epoch,
-        },
-        // The recovery machinery, priced: one full checkpoint round
-        // trip (clone + FNV-1a seal + verify + thaw) of a mid-run quick
-        // fleet — the unit cost behind periodic failover checkpoints
-        // and checkpointed bisection replay.
-        Row {
-            name: "recovery_checkpoint",
-            metric: "checkpoint_cycles_per_wall_s",
-            after: recovery_checkpoint,
         },
     ];
     let fleet_names: [&'static str; 3] = ["fleet_scale_16", "fleet_scale_64", "fleet_scale_256"];

@@ -1,24 +1,17 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Every paper exhibit has a bench target that (1) regenerates and prints
-//! the exhibit's rows — so `cargo bench` output contains the full
-//! reproduction — and (2) times the experiment's computational kernel
-//! with Criterion.
+//! The bench targets time what the paper exhibits do not print: the
+//! ablations, the characterization engine, serving and telemetry
+//! overheads, and the `simperf` hot-path trajectory. The paper exhibits
+//! themselves come from `repro <id> --quick`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use atm_experiments::{Context, ExpConfig};
 use criterion::Criterion;
 
 /// The seed every bench uses (the calibration seed of the repo).
 pub const BENCH_SEED: u64 = 42;
-
-/// A reduced-effort context suitable for bench setup.
-#[must_use]
-pub fn quick_context() -> Context {
-    Context::new(ExpConfig::quick(BENCH_SEED))
-}
 
 /// Criterion tuned for heavy setups: few samples, short measurement.
 #[must_use]

@@ -26,8 +26,8 @@
 //! The loop itself is externally steppable: [`FleetSim::start`] returns a
 //! [`FleetRun`] that advances one epoch per [`FleetRun::step_epoch`]
 //! call, can be checkpointed and restored mid-run (byte-identically — the
-//! engine behind `atm-recovery`'s resume identity and fault-campaign
-//! bisection), and [`FleetRun::finish`]es into the same report
+//! resume identity behind failover resurrection and `atm-recovery`'s
+//! fault-campaign bisection), and [`FleetRun::finish`]es into the same report
 //! [`FleetSim::run`] produces.
 
 use std::sync::Arc;
@@ -173,13 +173,13 @@ impl FleetSim {
 /// A fleet run in flight: everything between two epoch barriers, as one
 /// deep-clonable value.
 ///
-/// The struct exists so the loop can be *paused*: `checkpoint()` seals a
+/// The struct exists so the loop can be *paused*: `checkpoint()` takes a
 /// deep copy (chips, queues, hooks, retry ladders, counters — all of it;
 /// only the immutable traffic traces are shared) and `restore()` rewinds
 /// to one, with the guarantee that
 /// `step… ≡ step…; restore(checkpoint); step…` byte-for-byte. Its `Debug`
 /// rendering is exhaustive and deterministic on purpose — it is the
-/// canonical byte-identity witness `atm-recovery` checksums.
+/// canonical byte-identity witness the resume-identity tests compare.
 #[derive(Debug, Clone)]
 pub struct FleetRun {
     cfg: FleetConfig,
@@ -205,7 +205,7 @@ pub struct FleetRun {
     probation_until: Vec<i64>,
 }
 
-/// A sealed deep copy of a [`FleetRun`] at an epoch boundary.
+/// An opaque deep copy of a [`FleetRun`] at an epoch boundary.
 #[derive(Debug, Clone)]
 pub struct FleetRunCheckpoint {
     state: FleetRun,
@@ -258,7 +258,7 @@ impl FleetRun {
             .unwrap_or(0)
     }
 
-    /// Seals a deep copy of the whole run.
+    /// Takes a deep copy of the whole run.
     #[must_use]
     pub fn checkpoint(&self) -> FleetRunCheckpoint {
         FleetRunCheckpoint {

@@ -301,4 +301,34 @@ mod tests {
         let mut probe = |s: &[usize]| s.contains(&1) && s.contains(&6);
         assert_eq!(ddmin((0..8).collect(), &mut probe), vec![1, 6]);
     }
+
+    fn tiny_fleet() -> FleetConfig {
+        FleetConfig::quick(42).with_chips(2).with_epochs(2)
+    }
+
+    #[test]
+    fn a_fleet_without_faults_is_refused() {
+        let never = |_: &FleetReport| false;
+        let opts = BisectConfig::default();
+        assert_eq!(
+            bisect(&tiny_fleet(), never, &opts),
+            Err(BisectError::NoCampaign)
+        );
+        let empty = tiny_fleet().with_faults(FleetFaultPlan::new(FaultPlan::new("empty"), 1));
+        assert_eq!(bisect(&empty, never, &opts), Err(BisectError::NoCampaign));
+    }
+
+    #[test]
+    fn a_predicate_that_always_or_never_trips_is_refused() {
+        let cfg = tiny_fleet().with_faults(FleetFaultPlan::new(atm_faults::droop_storm(), 1));
+        let opts = BisectConfig::default();
+        assert_eq!(
+            bisect(&cfg, |_| true, &opts),
+            Err(BisectError::TriggeredByNothing)
+        );
+        assert_eq!(
+            bisect(&cfg, |_| false, &opts),
+            Err(BisectError::NotTriggered)
+        );
+    }
 }

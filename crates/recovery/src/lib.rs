@@ -1,50 +1,44 @@
-//! Crash recovery for the ATM stack: sealed checkpoints, failover
-//! verification, and fault-campaign bisection.
+//! Crash recovery for the ATM stack: fault-campaign bisection over the
+//! checkpoints every layer already exposes.
 //!
 //! Everything below the fleet router is already a deterministic pure
 //! function of `(config, seed)`, and every layer exposes a deep-copy
 //! checkpoint (`SystemCheckpoint`, `ManagerCheckpoint`,
-//! `ChipServerCheckpoint`, `FleetRunCheckpoint`) satisfying the resume
-//! identity
+//! `ChipServerCheckpoint`, `FleetRunCheckpoint`) whose `checkpoint()` /
+//! `thaw()` pair satisfies the resume identity
 //!
 //! ```text
-//! run(0..T)  ≡  run(0..k); restore(checkpoint); run(k..T)      (byte-for-byte)
+//! run(0..T)  ≡  run(0..k); thaw(checkpoint); run(k..T)      (byte-for-byte)
 //! ```
 //!
-//! This crate is the layer that makes those checkpoints *trustworthy and
-//! useful*:
-//!
-//! - [`Snapshot`] seals any checkpoint behind a format version and an
-//!   FNV-1a 64 checksum of its exhaustive `Debug` rendering, refusing
-//!   corrupted or cross-build state at restore time instead of resuming
-//!   a diverged timeline ([`snapshot`]).
-//! - [`bisect()`] delta-debugs a failing fault campaign to a minimal
-//!   triggering spec set, replaying from checkpoints instead of from
-//!   epoch 0 (the [`mod@bisect`] module).
+//! Checkpoints are plain in-memory values: no version, no checksum, no
+//! serialized form. This crate puts them to work — [`bisect()`]
+//! delta-debugs a failing fault campaign to a minimal triggering spec
+//! set, replaying from checkpoints instead of from epoch 0 (the
+//! [`mod@bisect`] module).
 //!
 //! The failover machinery itself — hard-failed chips bouncing their
 //! batches, the bounded retry/backoff ladder, resurrection from periodic
 //! checkpoints with a probation window — lives in the fleet crate
-//! ([`atm_fleet::FailoverConfig`]); this crate's tests and the repo's
-//! `tests/recovery.rs` suite hold it to the exactly-once law.
+//! ([`atm_fleet::FailoverConfig`]); the repo's `tests/recovery.rs` suite
+//! holds it to the exactly-once law.
 //!
-//! # Sealing and restoring a fleet run
+//! # Checkpointing and thawing a fleet run
 //!
 //! ```
 //! use atm_fleet::{FleetConfig, FleetSim};
-//! use atm_recovery::Snapshot;
 //!
 //! let mut run = FleetSim::new(FleetConfig::quick(42).with_chips(2).with_epochs(2))
 //!     .unwrap()
 //!     .start(1);
 //! run.step_epoch(1);
 //!
-//! // Seal mid-run, keep going, then rewind and replay: byte-identical.
-//! let sealed = Snapshot::seal(run.checkpoint());
+//! // Checkpoint mid-run, keep going, then thaw and replay: byte-identical.
+//! let cp = run.checkpoint();
 //! run.step_epoch(1);
 //! let first = run.finish();
 //!
-//! let mut replay = sealed.state().expect("sealed in-process").thaw();
+//! let mut replay = cp.thaw();
 //! replay.step_epoch(1);
 //! assert_eq!(replay.finish(), first);
 //! ```
@@ -53,7 +47,5 @@
 #![warn(missing_docs)]
 
 pub mod bisect;
-pub mod snapshot;
 
 pub use bisect::{bisect, BisectConfig, BisectError, BisectOutcome};
-pub use snapshot::{fnv1a64, state_digest, Snapshot, SnapshotError, SNAPSHOT_VERSION};

@@ -26,7 +26,7 @@
 //! | [`serve`] | deterministic request serving with SLO accounting |
 //! | [`faults`] | seeded fault-injection campaigns and recovery reports |
 //! | [`fleet`] | fleet-scale sharded simulation behind a deterministic epoch-barrier router |
-//! | [`recovery`] | sealed checkpoint/restore, failover verification, and fault-campaign bisection |
+//! | [`recovery`] | fault-campaign bisection over checkpoint replays |
 //! | [`experiments`] | regeneration of every paper table and figure |
 //!
 //! The [`prelude`] re-exports the handful of types nearly every program
@@ -114,7 +114,6 @@ pub mod prelude {
     pub use atm_core::{AtmManager, Governor, LimitTable, MarginSupervisor, QosTarget};
     pub use atm_faults::{FaultCampaign, FaultPlan};
     pub use atm_fleet::{FleetConfig, FleetConfigBuilder, FleetReport, FleetRun, FleetSim};
-    pub use atm_recovery::{Snapshot, SnapshotError};
     pub use atm_serve::{ServeConfig, ServeSim, StreamSpec};
     pub use atm_silicon::DriftModel;
     pub use atm_telemetry::{NullRecorder, Recorder, RingRecorder, TelemetrySnapshot};
